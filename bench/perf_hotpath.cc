@@ -70,16 +70,11 @@ struct BenchCase
     bool colocation = false;
     /** Non-empty: attach this OS-dynamics profile to the workload. */
     std::string dynProfile;
-    /** Software-pipelining lookahead (RunConfig::prefetchDistance).
-     *  The base cases run with 0 so the historical floor baseline
-     *  stays comparable; the pipelined_* variants carry the tuned
-     *  default and are gated separately. */
-    unsigned prefetchDistance = 0;
 };
 
 /** The representative hot-path configurations. */
 std::vector<BenchCase>
-benchCases(unsigned pipelinedDistance)
+benchCases()
 {
     std::vector<BenchCase> cases;
 
@@ -120,24 +115,6 @@ benchCases(unsigned pipelinedDistance)
     churn.machine = makeMachineConfig(AsapConfig::p1p2());
     churn.dynProfile = "tenants";
     cases.push_back(churn);
-
-    // Software-pipelined variants of the static cases: the identical
-    // model (RunStats are bit-identical by construction — the golden
-    // suite pins that) with host-cache prefetch lookahead enabled.
-    // Gated separately from the base floors so a lost prefetch win
-    // fails perf CI on its own line. virt_2d is skipped: the simulator
-    // disables translation lookahead under virtualization (see
-    // Simulator::runPhase), so its pipelined variant would time the
-    // plain loop twice.
-    const std::size_t staticCases = 5;   // native..colocation above
-    for (std::size_t i = 0; i < staticCases; ++i) {
-        if (cases[i].env.virtualized)
-            continue;
-        BenchCase pipelined = cases[i];
-        pipelined.name = "pipelined_" + pipelined.name;
-        pipelined.prefetchDistance = pipelinedDistance;
-        cases.push_back(pipelined);
-    }
 
     return cases;
 }
@@ -573,7 +550,6 @@ main(int argc, char **argv)
     bool quick = false;
     bool sweepMode = false;
     unsigned reps = 0;
-    unsigned prefetchDist = RunConfig{}.prefetchDistance;
     unsigned replayShards = 0;
     std::string baselinePath;
     std::string only;
@@ -585,11 +561,6 @@ main(int argc, char **argv)
             sweepMode = true;
         } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
             reps = static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--prefetch-dist") == 0 &&
-                   i + 1 < argc) {
-            // Lookahead for the pipelined_* cases (distance-tuning
-            // workflow: sweep this and read the acc/s column).
-            prefetchDist = static_cast<unsigned>(std::atoi(argv[++i]));
         } else if (std::strcmp(argv[i], "--parallel-replay") == 0 &&
                    i + 1 < argc) {
             replayShards = static_cast<unsigned>(std::atoi(argv[++i]));
@@ -604,7 +575,7 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "usage: %s [--quick] [--reps N] [--only CASE] "
                          "[--baseline FILE] [--sweep] [--trace FILE] "
-                         "[--prefetch-dist N] [--parallel-replay N]\n",
+                         "[--parallel-replay N]\n",
                          argv[0]);
             return 2;
         }
@@ -643,7 +614,7 @@ main(int argc, char **argv)
     }
 
     std::vector<CaseTiming> timings;
-    for (const BenchCase &bc : benchCases(prefetchDist)) {
+    for (const BenchCase &bc : benchCases()) {
         if (!only.empty() && bc.name != only)
             continue;
         WorkloadSpec caseSpec = spec;
@@ -655,9 +626,6 @@ main(int argc, char **argv)
         std::unique_ptr<Environment> env =
             std::make_unique<Environment>(caseSpec, bc.env);
         RunConfig run = defaultRunConfig(bc.colocation);
-        // Explicit per-case lookahead: the base cases pin 0 so the
-        // floor baselines predating pipelining stay comparable.
-        run.prefetchDistance = bc.prefetchDistance;
         if (quick) {
             run.warmupAccesses = quickWarmupAccesses;
             run.measureAccesses = quickMeasureAccesses;

@@ -11,14 +11,21 @@
  * simulator's wall-clock time and are bound by host memory traffic on
  * the big arrays (the paper-LLC array alone is megabytes), so a probe
  * must fetch one contiguous run of cache lines that the subsequent
- * victim scan and recency update then hit for free. Three measured
+ * victim scan and recency update then hit for free. Four measured
  * dead ends are documented here so they are not retried: a global
  * key/tick/payload (SoA) split pays a second dependent random fetch on
  * every victim scan (20-35% slower end-to-end); a per-*set* blocked
  * [keys][ticks][payloads] layout still splits the hit path's key read
- * and tick write across lines (≈25% slower); and AVX2 key scans lose
+ * and tick write across lines (≈25% slower); AVX2 key scans lose
  * to the scalar loop because they cannot early-exit (hit-early and
- * half-empty sets terminate the scalar scan after a way or two).
+ * half-empty sets terminate the scalar scan after a way or two); and a
+ * software-pipelined lookahead in the access loop, which
+ * `__builtin_prefetch`ed the sets access i+16 would scan (a PL2 PWC
+ * peek, the leaf PTE line, the data's LLC set, and a run-ahead copy of
+ * the co-runner RNG), cost more than it hid. With it off, simbench's
+ * 20-s runs on a 4-vCPU host simulated 10.8% faster on native_asap
+ * (6 of 6 interleaved pairs), 3.9% on virt_coloc and 6.5% on
+ * fig8_sweep, so it was deleted.
  *
  * An invalid way is all-zero: key 0 (real keys are biased by +1 when
  * stored, see keyFor — no address-derived key collides), tick 0,
@@ -162,23 +169,6 @@ class SetAssoc
                 return refOf(base[w]);
         }
         return {};
-    }
-
-    /**
-     * Issue `__builtin_prefetch` over the host cache lines backing
-     * @p set's way span (software pipelining: the simulation loop calls
-     * this for access i+D while simulating access i, hiding the host
-     * misses on the multi-MB arrays behind model work). Pure host-side
-     * hint — no model state, ticks or counters are touched.
-     */
-    void
-    prefetchSet(std::uint64_t set) const
-    {
-        const char *base =
-            reinterpret_cast<const char *>(store_ + set * ways_);
-        const std::size_t span = ways_ * sizeof(Way);
-        for (std::size_t off = 0; off < span; off += 64)
-            __builtin_prefetch(base + off, 0, 2);
     }
 
     /**

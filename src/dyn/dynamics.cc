@@ -29,7 +29,7 @@ void
 OsDynamics::apply(const OsEvent &event, OsDynStats &stats, Cycles now)
 {
     ++stats.events;
-    obs::TraceSink *sink = this->sink();
+    obs::TraceSink *sink = target_.traceSink();
     if (sink) {
         sink->osEvent(now, static_cast<unsigned>(event.kind),
                       event.addr, event.pages);
@@ -45,7 +45,7 @@ OsDynamics::apply(const OsEvent &event, OsDynStats &stats, Cycles now)
                  "OS-event handle %lu mapped twice",
                  static_cast<unsigned long>(event.handle));
         ++stats.mmaps;
-        refresh();
+        target_.refreshDescriptors();
         break;
       }
       case OsEventKind::Munmap: {
@@ -56,12 +56,12 @@ OsDynamics::apply(const OsEvent &event, OsDynStats &stats, Cycles now)
         stats.dataPagesFreed += counts.dataPagesFreed;
         stats.ptNodesFreed += counts.ptNodesFreed;
         const auto dropped =
-            invalidate(counts.start, counts.end);
+            target_.invalidateRange(counts.start, counts.end);
         stats.tlbInvalidated += dropped.tlb;
         stats.pwcInvalidated += dropped.pwc;
         if (sink)
             sink->shootdown(now, dropped.tlb, dropped.pwc);
-        refresh();
+        target_.refreshDescriptors();
         break;
       }
       case OsEventKind::MinorFault: {
@@ -97,7 +97,7 @@ OsDynamics::apply(const OsEvent &event, OsDynStats &stats, Cycles now)
         stats.dataPagesFreed += counts.dataPagesFreed;
         stats.ptNodesFreed += counts.ptNodesFreed;
         const auto dropped =
-            invalidate(counts.start, counts.end);
+            target_.invalidateRange(counts.start, counts.end);
         stats.tlbInvalidated += dropped.tlb;
         stats.pwcInvalidated += dropped.pwc;
         if (sink)
@@ -108,7 +108,7 @@ OsDynamics::apply(const OsEvent &event, OsDynStats &stats, Cycles now)
         const Vma *vma = resolveVma(event);
         system_.extendVma(vma->id, event.bytes);
         ++stats.extends;
-        refresh();
+        target_.refreshDescriptors();
         break;
       }
       case OsEventKind::ReleaseChurn: {

@@ -1,12 +1,13 @@
 /**
  * @file
- * OsDynamics: applies an OsEventStream to a live (System, Machine) pair
- * as the simulation loop consumes accesses.
+ * OsDynamics: applies an OsEventStream to a live System and the
+ * ShootdownTarget (sim/machine.hh) its translations live in, as the
+ * access loop consumes accesses.
  *
- * The Simulator calls applyDue() at batch boundaries (and caps each
- * batch at the next event offset, so events fire at *exact* access
- * counts regardless of batching). Application is the OS + hypervisor +
- * hardware-shootdown choreography:
+ * AccessStream (sim/simulator.hh) calls applyDue() at batch boundaries
+ * (and caps each batch at the next event offset, so events fire at
+ * *exact* access counts regardless of batching). Application is the
+ * OS + hypervisor + hardware-shootdown choreography:
  *
  *  - Mmap      : System::mmap (reserving ASAP regions, and under
  *                virtualization backing them contiguously in the host),
@@ -41,45 +42,14 @@
 namespace asap
 {
 
-/**
- * Where OsDynamics directs the hardware side effects of an OS event —
- * translation shootdowns and range-descriptor refreshes. The serial
- * Simulator's target is its single Machine; the multi-core model
- * (src/mc) substitutes a proxy that fans a tenant's shootdown out to
- * every core the tenant has run on, charging the IPI cost model along
- * the way. The OS-side mutation (System) is common to both.
- */
-class ShootdownTarget
-{
-  public:
-    virtual ~ShootdownTarget() = default;
-
-    /** The trace sink OS events / shootdowns are timestamped on
-     *  (nullptr when tracing is off). */
-    virtual obs::TraceSink *traceSink() const = 0;
-
-    /** Shoot down the virtual range [@p start, @p end) in every
-     *  translation structure the target spans. */
-    virtual Machine::InvalidateCounts
-    invalidateRange(VirtAddr start, VirtAddr end) = 0;
-
-    /** Rebuild ASAP range descriptors after a VMA-layout change. */
-    virtual void refreshDescriptors() = 0;
-};
-
 class OsDynamics
 {
   public:
-    /** @p stream may be nullptr or empty (a static run). */
-    OsDynamics(const OsEventStream *stream, System &system,
-               Machine &machine)
-        : stream_(stream), system_(system), machine_(&machine)
-    {}
-
-    /** Multi-core variant: side effects go through @p target. */
+    /** @p stream may be nullptr or empty (a static run); shootdowns
+     *  and descriptor refreshes go to @p target. */
     OsDynamics(const OsEventStream *stream, System &system,
                ShootdownTarget &target)
-        : stream_(stream), system_(system), target_(&target)
+        : stream_(stream), system_(system), target_(target)
     {}
 
     bool active() const { return stream_ && !stream_->empty(); }
@@ -113,33 +83,9 @@ class OsDynamics
     /** Resolve the VMA an event targets and its base VA. */
     const Vma *resolveVma(const OsEvent &event) const;
 
-    /** Dispatch helpers over machine_/target_ (exactly one is set). */
-    obs::TraceSink *
-    sink() const
-    {
-        return target_ ? target_->traceSink() : machine_->traceSink();
-    }
-
-    Machine::InvalidateCounts
-    invalidate(VirtAddr start, VirtAddr end)
-    {
-        return target_ ? target_->invalidateRange(start, end)
-                       : machine_->invalidateRange(start, end);
-    }
-
-    void
-    refresh()
-    {
-        if (target_)
-            target_->refreshDescriptors();
-        else
-            machine_->refreshDescriptors();
-    }
-
     const OsEventStream *stream_;
     System &system_;
-    Machine *machine_ = nullptr;
-    ShootdownTarget *target_ = nullptr;
+    ShootdownTarget &target_;
     std::size_t next_ = 0;
     /** Dynamic-VMA handle -> live VMA id. */
     std::unordered_map<std::uint64_t, std::uint64_t> vmaOfHandle_;

@@ -9,6 +9,53 @@
 namespace asap
 {
 
+namespace
+{
+
+/** OsDynStats' fields in declaration order, with their counter names:
+ *  the one list behind merge() and appendCounters(). */
+struct DynField
+{
+    const char *name;
+    std::uint64_t OsDynStats::*field;
+};
+
+constexpr DynField dynFields[] = {
+    {"dyn.events", &OsDynStats::events},
+    {"dyn.mmaps", &OsDynStats::mmaps},
+    {"dyn.munmaps", &OsDynStats::munmaps},
+    {"dyn.minorFaults", &OsDynStats::minorFaults},
+    {"dyn.madviseFrees", &OsDynStats::madviseFrees},
+    {"dyn.extends", &OsDynStats::extends},
+    {"dyn.churnReleases", &OsDynStats::churnReleases},
+    {"dyn.dataPagesFreed", &OsDynStats::dataPagesFreed},
+    {"dyn.ptNodesFreed", &OsDynStats::ptNodesFreed},
+    {"dyn.churnFramesReleased", &OsDynStats::churnFramesReleased},
+    {"dyn.tlbInvalidated", &OsDynStats::tlbInvalidated},
+    {"dyn.pwcInvalidated", &OsDynStats::pwcInvalidated},
+    {"dyn.regionGrowthHoles", &OsDynStats::regionGrowthHoles},
+    {"dyn.regionRelocations", &OsDynStats::regionRelocations},
+    {"dyn.regionsReleased", &OsDynStats::regionsReleased},
+    {"dyn.regionFramesReleased", &OsDynStats::regionFramesReleased},
+};
+
+} // namespace
+
+void
+OsDynStats::merge(const OsDynStats &other)
+{
+    for (const DynField &f : dynFields)
+        this->*f.field += other.*f.field;
+}
+
+void
+OsDynStats::appendCounters(
+    std::vector<std::pair<std::string, std::uint64_t>> &counters) const
+{
+    for (const DynField &f : dynFields)
+        counters.emplace_back(f.name, this->*f.field);
+}
+
 void
 OsEventStream::add(const OsEvent &event)
 {

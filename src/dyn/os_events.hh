@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -109,11 +110,19 @@ struct OsDynStats
     std::uint64_t pwcInvalidated = 0;    ///< PWC entries shot down
 
     // ASAP region lifecycle over the run (deltas of the app-dimension
-    // allocator counters; filled by Simulator::run).
+    // allocator counters; filled by AccessStream).
     std::uint64_t regionGrowthHoles = 0;
     std::uint64_t regionRelocations = 0;
     std::uint64_t regionsReleased = 0;
     std::uint64_t regionFramesReleased = 0;
+
+    /** Add @p other field by field (every field is a sum). */
+    void merge(const OsDynStats &other);
+
+    /** Append every field as a `dyn.<field>` counter, in declaration
+     *  order: the tail of a RunStats::counters list. */
+    void appendCounters(
+        std::vector<std::pair<std::string, std::uint64_t>> &counters) const;
 };
 
 /**

@@ -6,18 +6,12 @@
 #include "mc/shootdown.hh"
 #include "obs/profile.hh"
 #include "obs/timeline.hh"
-#include "os/pt_allocators.hh"
 
 namespace asap::mc
 {
 
 namespace
 {
-
-/** Addresses generated per Workload::nextBatch call — the serial
- *  Simulator's batch size, kept identical so the two loops share every
- *  batching property (boundaries are stats-neutral either way). */
-constexpr std::size_t accessBatch = 1024;
 
 /** Tenant t's RNG seeds: tenant 0 uses the RunConfig seed verbatim
  *  (the serial-identity anchor); later tenants decorrelate it with a
@@ -29,19 +23,6 @@ seedOf(const RunConfig &config, unsigned tenant)
     if (tenant == 0)
         return config.seed;
     return config.seed ^ (0x9e3779b97f4a7c15ULL * tenant);
-}
-
-AsapEngineStats
-engineStats(const AsapEngine *engine)
-{
-    AsapEngineStats s;
-    if (engine) {
-        s.triggers = engine->triggers();
-        s.rangeHits = engine->rangeHits();
-        s.attempted = engine->attempted();
-        s.issued = engine->issued();
-    }
-    return s;
 }
 
 /** Positional sum of identically-shaped counter snapshots (the
@@ -63,52 +44,6 @@ addInto(std::vector<std::pair<std::string, std::uint64_t>> &into,
                  into[i].first.c_str(), from[i].first.c_str());
         into[i].second += from[i].second;
     }
-}
-
-void
-addDyn(OsDynStats &into, const OsDynStats &from)
-{
-    into.events += from.events;
-    into.mmaps += from.mmaps;
-    into.munmaps += from.munmaps;
-    into.minorFaults += from.minorFaults;
-    into.madviseFrees += from.madviseFrees;
-    into.extends += from.extends;
-    into.churnReleases += from.churnReleases;
-    into.dataPagesFreed += from.dataPagesFreed;
-    into.ptNodesFreed += from.ptNodesFreed;
-    into.churnFramesReleased += from.churnFramesReleased;
-    into.tlbInvalidated += from.tlbInvalidated;
-    into.pwcInvalidated += from.pwcInvalidated;
-    into.regionGrowthHoles += from.regionGrowthHoles;
-    into.regionRelocations += from.regionRelocations;
-    into.regionsReleased += from.regionsReleased;
-    into.regionFramesReleased += from.regionFramesReleased;
-}
-
-void
-appendDyn(std::vector<std::pair<std::string, std::uint64_t>> &counters,
-          const OsDynStats &d)
-{
-    counters.emplace_back("dyn.events", d.events);
-    counters.emplace_back("dyn.mmaps", d.mmaps);
-    counters.emplace_back("dyn.munmaps", d.munmaps);
-    counters.emplace_back("dyn.minorFaults", d.minorFaults);
-    counters.emplace_back("dyn.madviseFrees", d.madviseFrees);
-    counters.emplace_back("dyn.extends", d.extends);
-    counters.emplace_back("dyn.churnReleases", d.churnReleases);
-    counters.emplace_back("dyn.dataPagesFreed", d.dataPagesFreed);
-    counters.emplace_back("dyn.ptNodesFreed", d.ptNodesFreed);
-    counters.emplace_back("dyn.churnFramesReleased",
-                          d.churnFramesReleased);
-    counters.emplace_back("dyn.tlbInvalidated", d.tlbInvalidated);
-    counters.emplace_back("dyn.pwcInvalidated", d.pwcInvalidated);
-    counters.emplace_back("dyn.regionGrowthHoles", d.regionGrowthHoles);
-    counters.emplace_back("dyn.regionRelocations",
-                          d.regionRelocations);
-    counters.emplace_back("dyn.regionsReleased", d.regionsReleased);
-    counters.emplace_back("dyn.regionFramesReleased",
-                          d.regionFramesReleased);
 }
 
 } // namespace
@@ -249,122 +184,6 @@ MultiCoreSimulator::switchIn(unsigned core, unsigned tenant)
     tn.lastCore = core;
 }
 
-void
-MultiCoreSimulator::runQuantum(unsigned core, unsigned tenant,
-                               std::uint64_t budget,
-                               const RunConfig &config)
-{
-    Core &c = cores_[core];
-    Tenant &tn = *tenants_[tenant];
-    Machine &machine = *tn.machines[core];
-    RunStats &stats = tn.stats;
-
-    const bool colocation = config.colocation;
-    const unsigned corunnerPerAccess = config.corunnerPerAccess;
-    const bool perfectTlb = config.perfectTlb;
-    const unsigned cpa = tn.cpa;
-    const Cycles streamingLatency = c.mem->config().l1d.latency;
-
-    // One access of model work — the serial Simulator's simulateOne
-    // with the phase flags as runtime state (quanta straddle the
-    // warmup/measure boundary, so they cannot be template parameters
-    // here; the arithmetic is line-for-line identical).
-    const auto simulateOne = [&](VirtAddr va, bool measuring) {
-        Cycles walkLatency = 0;
-        Translation translation;
-        if (perfectTlb) {
-            translation = tn.system->touch(va).translation;
-        } else {
-            const Machine::TranslateResult result =
-                machine.translate(va, c.now);
-            translation = result.translation;
-            walkLatency = result.walkLatency;
-            if (measuring) {
-                switch (result.tlbLevel) {
-                  case TlbHitLevel::L1:
-                    ++stats.tlbL1Hits;
-                    break;
-                  case TlbHitLevel::L2:
-                    ++stats.tlbL2Hits;
-                    break;
-                  case TlbHitLevel::Miss:
-                    ++stats.tlbMisses;
-                    break;
-                }
-                if (result.faulted)
-                    ++stats.faults;
-                if (result.walked) {
-                    stats.walkLatency.sample(walkLatency);
-                    stats.walkHist.sample(walkLatency);
-                    if (result.walk) {
-                        for (unsigned level = 1; level <= 5; ++level) {
-                            if (result.walk->requested[level]) {
-                                stats.levelDist[level].record(
-                                    result.walk->servedBy[level]);
-                                stats.levelHist[level].sample(
-                                    result.walk->levelLatency[level]);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        const PhysAddr pa = translation.physAddrOf(va);
-        Cycles dataLatency = machine.dataAccess(pa);
-        if (va == tn.lastVa + lineSize)
-            dataLatency = streamingLatency;
-        tn.lastVa = va;
-
-        c.now += cpa + dataLatency + walkLatency;
-        if (measuring) {
-            stats.dataCycles += dataLatency;
-            stats.walkCycles += walkLatency;
-            stats.dataHist.sample(dataLatency);
-        }
-
-        if (colocation) {
-            for (unsigned i = 0; i < corunnerPerAccess; ++i)
-                machine.corunnerAccess(tn.corunnerRng);
-        }
-    };
-
-    VirtAddr vas[accessBatch];
-    while (budget > 0 && tn.warmupLeft + tn.measureLeft > 0) {
-        const bool measuring = tn.warmupLeft == 0;
-        const std::uint64_t phaseLeft =
-            measuring ? tn.measureLeft : tn.warmupLeft;
-        std::size_t batch = static_cast<std::size_t>(
-            std::min({static_cast<std::uint64_t>(accessBatch), budget,
-                      phaseLeft}));
-        if (tn.dyn) {
-            // Fire every OS event due at this point of the tenant's
-            // access stream — shootdowns fan out through the proxy
-            // while this core is the initiator — then cap the batch at
-            // the next event's exact offset.
-            tn.dyn->applyDue(tn.consumed, stats.dyn, c.now);
-            const std::uint64_t gap = tn.dyn->gapUntilNext(tn.consumed);
-            if (gap < batch)
-                batch = static_cast<std::size_t>(gap);
-        }
-        if (measuring) {
-            stats.accesses += batch;
-            stats.computeCycles += cpa * batch;
-        }
-        tn.workload->nextBatch(tn.rng, vas, batch);
-        for (std::size_t i = 0; i < batch; ++i)
-            simulateOne(vas[i], measuring);
-        tn.consumed += batch;
-        budget -= batch;
-        if (measuring) {
-            tn.measureLeft -= batch;
-            measuredDone_ += batch;
-        } else {
-            tn.warmupLeft -= batch;
-        }
-    }
-}
-
 Machine::InvalidateCounts
 MultiCoreSimulator::tenantShootdown(unsigned tenant, VirtAddr start,
                                     VirtAddr end)
@@ -492,22 +311,10 @@ MultiCoreSimulator::collectAggregateCounters() const
         tenant->system->registerCounters(registry);
         addInto(system, registry.snapshot());
 
-        OsDynStats d = tenant->stats.dyn;
-        if (const AsapPtAllocator *alloc =
-                tenant->system->appAsapAllocator()) {
-            d.regionGrowthHoles = alloc->holesCreatedByGrowth() -
-                                  tenant->regionHoles0;
-            d.regionRelocations = alloc->framesRelocatedForGrowth() -
-                                  tenant->regionRelocated0;
-            d.regionsReleased =
-                alloc->regionsReleased() - tenant->regionReleased0;
-            d.regionFramesReleased =
-                alloc->releasedFrames() - tenant->regionReleasedFrames0;
-        }
-        addDyn(dyn, d);
+        dyn.merge(tenant->stream->dynStats());
     }
     counters.insert(counters.end(), system.begin(), system.end());
-    appendDyn(counters, dyn);
+    dyn.appendCounters(counters);
 
     // Scheduler/IPI telemetry — only on a genuinely multi-core or
     // multi-tenant shape, so the 1x1 list stays bit-identical to the
@@ -593,36 +400,15 @@ void
 MultiCoreSimulator::finalizeTenant(unsigned tenant)
 {
     Tenant &tn = *tenants_[tenant];
-    RunStats &stats = tn.stats;
-
-    // Events scheduled exactly at the end of the stream still fire.
-    if (tn.dyn)
-        tn.dyn->applyDue(tn.consumed, stats.dyn,
-                         cores_[tn.lastCore].now);
-
-    if (const AsapPtAllocator *alloc = tn.system->appAsapAllocator()) {
-        stats.dyn.regionGrowthHoles =
-            alloc->holesCreatedByGrowth() - tn.regionHoles0;
-        stats.dyn.regionRelocations =
-            alloc->framesRelocatedForGrowth() - tn.regionRelocated0;
-        stats.dyn.regionsReleased =
-            alloc->regionsReleased() - tn.regionReleased0;
-        stats.dyn.regionFramesReleased =
-            alloc->releasedFrames() - tn.regionReleasedFrames0;
-    }
-
-    stats.totalCycles =
-        stats.computeCycles + stats.dataCycles + stats.walkCycles;
+    tn.stream->finish(cores_[tn.lastCore].now);
+    RunStats &stats = tn.stream->stats();
 
     // ASAP engines are per (tenant, core) machine; a tenant's view is
     // the sum over the cores it visited (engines elsewhere stayed 0).
-    AsapEngineStats app, host;
     for (const auto &machine : tn.machines) {
-        app.merge(engineStats(machine->appEngine()));
-        host.merge(engineStats(machine->hostEngine()));
+        stats.appAsap.merge(AsapEngineStats::of(machine->appEngine()));
+        stats.hostAsap.merge(AsapEngineStats::of(machine->hostEngine()));
     }
-    stats.appAsap = app;
-    stats.hostAsap = host;
 
     // Per-tenant counters: this tenant's translation machinery (summed
     // over its machines), its System, its dyn activity, and its IPI
@@ -641,7 +427,7 @@ MultiCoreSimulator::finalizeTenant(unsigned tenant)
         const auto system = registry.snapshot();
         counters.insert(counters.end(), system.begin(), system.end());
     }
-    appendDyn(counters, stats.dyn);
+    stats.dyn.appendCounters(counters);
     counters.emplace_back("mc.shootdowns", tn.mcStats.shootdowns);
     counters.emplace_back("mc.ipisSent", tn.mcStats.ipisSent);
     counters.emplace_back("mc.ipiSendWaitCycles",
@@ -666,26 +452,8 @@ MultiCoreSimulator::run(const RunConfig &config)
 
     for (std::size_t t = 0; t < tenants_.size(); ++t) {
         Tenant &tn = *tenants_[t];
-        tn.rng = Rng(seedOf(config, static_cast<unsigned>(t)));
-        tn.corunnerRng =
-            Rng(seedOf(config, static_cast<unsigned>(t)) ^ 0x5eed);
-        tn.workload->reset(tn.rng);
-        tn.cpa = tn.workload->computeCyclesPerAccess();
-        tn.warmupLeft = config.warmupAccesses;
-        tn.measureLeft = config.measureAccesses;
-        tn.lastVa = ~VirtAddr{0};
-        tn.consumed = 0;
-        if (tn.workload->events() && !tn.workload->events()->empty()) {
-            tn.dyn = std::make_unique<OsDynamics>(tn.workload->events(),
-                                                  *tn.system, *tn.proxy);
-        }
-        if (const AsapPtAllocator *alloc =
-                tn.system->appAsapAllocator()) {
-            tn.regionHoles0 = alloc->holesCreatedByGrowth();
-            tn.regionRelocated0 = alloc->framesRelocatedForGrowth();
-            tn.regionReleased0 = alloc->regionsReleased();
-            tn.regionReleasedFrames0 = alloc->releasedFrames();
-        }
+        tn.stream.emplace(*tn.system, *tn.workload, *tn.proxy, config,
+                          seedOf(config, static_cast<unsigned>(t)));
     }
 
     const std::uint64_t epochLen =
@@ -693,6 +461,7 @@ MultiCoreSimulator::run(const RunConfig &config)
     const std::uint64_t measureTotal =
         config.measureAccesses * tenants_.size();
     std::uint64_t nextEpoch = epochLen;
+    std::uint64_t measuredDone = 0;
 
     // The slot loop: round-robin with rotation over the still-active
     // tenants, width-limited by the core count. Purely a function of
@@ -702,7 +471,7 @@ MultiCoreSimulator::run(const RunConfig &config)
     while (true) {
         active.clear();
         for (std::size_t t = 0; t < tenants_.size(); ++t) {
-            if (tenants_[t]->warmupLeft + tenants_[t]->measureLeft > 0)
+            if (!tenants_[t]->stream->done())
                 active.push_back(static_cast<unsigned>(t));
         }
         if (active.empty())
@@ -712,8 +481,9 @@ MultiCoreSimulator::run(const RunConfig &config)
         for (std::size_t c = 0; c < width; ++c) {
             const unsigned t = active[(slots_ + c) % active.size()];
             switchIn(static_cast<unsigned>(c), t);
-            runQuantum(static_cast<unsigned>(c), t, mcConfig_.quantum,
-                       config);
+            Tenant &tn = *tenants_[t];
+            measuredDone += tn.stream->advance(
+                *tn.machines[c], cores_[c].now, mcConfig_.quantum);
         }
         ++slots_;
 
@@ -722,17 +492,17 @@ MultiCoreSimulator::run(const RunConfig &config)
         // several, so boundaries land on the first slot edge at or
         // past each mark (documented Timeline granularity for mc
         // runs). The final boundary is sampled after finalization.
-        if (epochLen != 0 && measuredDone_ >= nextEpoch &&
-            measuredDone_ < measureTotal) {
+        if (epochLen != 0 && measuredDone >= nextEpoch &&
+            measuredDone < measureTotal) {
             obs::Histogram walkHist, dataHist;
             for (const auto &tenant : tenants_) {
-                walkHist.merge(tenant->stats.walkHist);
-                dataHist.merge(tenant->stats.dataHist);
+                walkHist.merge(tenant->stream->stats().walkHist);
+                dataHist.merge(tenant->stream->stats().dataHist);
             }
-            timeline_->sample(measuredDone_, maxCoreNow(),
+            timeline_->sample(measuredDone, maxCoreNow(),
                               collectAggregateCounters(), walkHist,
                               dataHist, collectGauges());
-            while (nextEpoch <= measuredDone_)
+            while (nextEpoch <= measuredDone)
                 nextEpoch += epochLen;
         }
     }
@@ -741,7 +511,7 @@ MultiCoreSimulator::run(const RunConfig &config)
     result.tenants.reserve(tenants_.size());
     for (std::size_t t = 0; t < tenants_.size(); ++t) {
         finalizeTenant(static_cast<unsigned>(t));
-        result.tenants.push_back(tenants_[t]->stats);
+        result.tenants.push_back(tenants_[t]->stream->stats());
         result.tenantMc.push_back(tenants_[t]->mcStats);
     }
     for (const Core &core : cores_)

@@ -29,7 +29,9 @@
  * any modeled memory size), the odd low part spreads tenants across
  * LLC sets. Tenant 0's bias is 0, so a 1-core/1-tenant run is
  * bit-identical to the serial Simulator (tests/test_mc.cc pins this,
- * RunStats and counters included).
+ * RunStats and counters included): each tenant's accesses run through
+ * its own AccessStream (sim/simulator.hh), the loop Simulator::run
+ * drives too.
  *
  * TLB shootdown follows the Linux mm_cpumask choreography: each
  * tenant tracks the set of cores it has run on since its entries
@@ -51,10 +53,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/types.hh"
-#include "dyn/dynamics.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 #include "sim/machine.hh"
@@ -187,40 +189,25 @@ class MultiCoreSimulator
         /** One Machine per core, sharing that core's mem/TLB. */
         std::vector<std::unique_ptr<Machine>> machines;
         std::unique_ptr<ShootdownTarget> proxy;
-        std::unique_ptr<OsDynamics> dyn;
-
-        Rng rng;
-        Rng corunnerRng;
-        VirtAddr lastVa = ~VirtAddr{0};
-        std::uint64_t consumed = 0;
-        std::uint64_t warmupLeft = 0;
-        std::uint64_t measureLeft = 0;
-        unsigned cpa = 1;
-        RunStats stats;
+        /** The tenant's accesses, RNGs and RunStats; built by run(). */
+        std::optional<AccessStream> stream;
         TenantStats mcStats;
 
         /** mm_cpumask: cores that may hold this tenant's TLB/PWC
          *  state (conservative; bits clear on no-PCID flushes). */
         std::uint64_t presence = 0;
         unsigned lastCore = 0;
-
-        /** ASAP region-lifecycle counters at run start (deltas). */
-        std::uint64_t regionHoles0 = 0, regionRelocated0 = 0,
-                      regionReleased0 = 0, regionReleasedFrames0 = 0;
     };
 
     void switchIn(unsigned core, unsigned tenant);
-    /** Run up to @p budget accesses of @p tenant on @p core. */
-    void runQuantum(unsigned core, unsigned tenant,
-                    std::uint64_t budget, const RunConfig &config);
 
     /** ShootdownTarget fan-out for @p tenant (see file comment). */
     Machine::InvalidateCounts
     tenantShootdown(unsigned tenant, VirtAddr start, VirtAddr end);
     void tenantRefresh(unsigned tenant);
 
-    /** Finalize one tenant's RunStats (dyn tail, region deltas,
-     *  engine sums, per-tenant counters). */
+    /** Finalize one tenant's RunStats (the stream's finish, engine
+     *  sums, per-tenant counters). */
     void finalizeTenant(unsigned tenant);
 
     /** The aggregate counter list, serial-ordered: per-core sums,
@@ -240,7 +227,6 @@ class MultiCoreSimulator
     std::vector<std::unique_ptr<Tenant>> tenants_;
     obs::TraceSink *sink_ = nullptr;
     obs::Timeline *timeline_ = nullptr;
-    std::uint64_t measuredDone_ = 0;
     std::uint64_t slots_ = 0;
     bool ran_ = false;
 };

@@ -5,8 +5,8 @@
  * MultiCoreSimulator's cross-core fan-out and IPI cost model.
  *
  * OsDynamics stays completely ignorant of cores: it calls the same
- * three-method surface the serial Simulator satisfies with a bare
- * Machine. The proxy is what makes a tenant's shootdown reach every
+ * three-method surface a bare Machine implements for the serial
+ * Simulator. The proxy is what makes a tenant's shootdown reach every
  * core in its presence mask — and what charges the initiating tenant
  * for the IPIs.
  */
@@ -14,7 +14,7 @@
 #ifndef ASAP_MC_SHOOTDOWN_HH
 #define ASAP_MC_SHOOTDOWN_HH
 
-#include "dyn/dynamics.hh"
+#include "sim/machine.hh"
 
 namespace asap::mc
 {

@@ -114,14 +114,6 @@ class Cache
         ways_.touch(slot.way);
     }
 
-    /** `__builtin_prefetch` the host lines backing the set @p paddr
-     *  maps to (software pipelining; no model state is touched). */
-    void
-    prefetchFor(PhysAddr paddr) const
-    {
-        ways_.prefetchSet(ways_.setOf(tagOf(paddr)));
-    }
-
     /** Remove the line containing @p paddr if present. */
     void
     invalidate(PhysAddr paddr)

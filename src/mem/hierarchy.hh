@@ -162,21 +162,6 @@ class MemoryHierarchy
         return true;
     }
 
-    /**
-     * `__builtin_prefetch` the host cache lines backing the L1-D/L2/LLC
-     * sets @p paddr maps to (software pipelining). The LLC tag array is
-     * multi-MB — these set scans are the simulator's dominant host-DRAM
-     * stall — so pulling the three sets for access i+D while access i
-     * is simulated hides that miss behind model work. No model state,
-     * recency or counters are touched.
-     */
-    void
-    prefetchHostSets(PhysAddr paddr) const
-    {
-        const std::uint64_t line = lineOf(paddr) + lineBias_;
-        llc_->prefetchFor(line);
-    }
-
     /** Drop all cache contents and in-flight prefetch state. */
     void reset();
 

@@ -2,9 +2,11 @@
  * @file
  * Counter registry: components expose their lifetime counters under
  * stable dotted names ("l1d.hits", "tlb.l2Misses", "buddy.freeFrames",
- * ...) instead of every experiment hand-plumbing columns. A Registry is
- * built once per run (Simulator::run), snapshotted into
- * RunStats::counters, and the sweep layer emits whatever it finds —
+ * ...) instead of every experiment hand-plumbing columns. Readers
+ * capture their values at registration, so Simulator::run (and the
+ * multi-core model) build a fresh Registry per snapshot — every
+ * timeline epoch and the end of the run — and store the last one in
+ * RunStats::counters; the sweep layer emits whatever it finds —
  * adding a counter to a component makes it appear in every CSV/JSON
  * artifact with no further wiring.
  */

@@ -22,12 +22,12 @@
  *    largest-free-order and fragmentation score, ASAP region
  *    contiguity, MSHR occupancy high-water.
  *
- * Integration shape (Simulator::run): the measure phase is split into
- * epoch-sized runPhase calls. Every workload draws addresses one at a
- * time from its generation core, so the chunking replays the identical
- * access stream — the hot loops carry zero new branches and a run with
- * a Timeline attached and enabled is bit-identical to one without
- * (Golden suite). Like TraceSink, the probe is a null-by-default
+ * Integration shape (Simulator::run): the measure phase advances the
+ * run's AccessStream in epoch-sized steps. Every workload draws
+ * addresses one at a time from its generation core, so the chunking
+ * replays the identical access stream — the access loop carries zero
+ * new branches and a run with a Timeline attached and enabled is
+ * bit-identical to one without (Golden suite). Like TraceSink, the probe is a null-by-default
  * pointer: detached costs nothing anywhere.
  *
  * Sinks: fsync'd JSONL and CSV artifacts (u64-safe decimal strings,

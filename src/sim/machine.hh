@@ -59,7 +59,40 @@ struct MachineConfig
     Cycles ipiInterruptLatency = 700;
 };
 
-class Machine
+/**
+ * Where OsDynamics (dyn/dynamics.hh) directs the hardware side effects
+ * of an OS event — translation shootdowns and range-descriptor
+ * refreshes. A Machine is its own target; the multi-core model
+ * (src/mc) substitutes a proxy that fans a tenant's shootdown out to
+ * every core the tenant has run on, charging the IPI cost model along
+ * the way. The OS-side mutation (System) is common to both.
+ */
+class ShootdownTarget
+{
+  public:
+    /** Entries dropped by a targeted invalidation, per structure. */
+    struct InvalidateCounts
+    {
+        std::uint64_t tlb = 0;
+        std::uint64_t pwc = 0;
+    };
+
+    virtual ~ShootdownTarget() = default;
+
+    /** The trace sink OS events / shootdowns are timestamped on
+     *  (nullptr when tracing is off). */
+    virtual obs::TraceSink *traceSink() const = 0;
+
+    /** Shoot down the virtual range [@p start, @p end) in every
+     *  translation structure the target spans. */
+    virtual InvalidateCounts invalidateRange(VirtAddr start,
+                                             VirtAddr end) = 0;
+
+    /** Rebuild ASAP range descriptors after a VMA-layout change. */
+    virtual void refreshDescriptors() = 0;
+};
+
+class Machine : public ShootdownTarget
 {
   public:
     Machine(System &system, const MachineConfig &config);
@@ -112,63 +145,6 @@ class Machine
         return translateMiss(va, now);
     }
 
-    /**
-     * Software-pipelined *host* prefetch, stage 1 (far lookahead):
-     * while the simulation loop works on access i, it calls this for
-     * access i+D (Simulator::runPhase, RunConfig::prefetchDistance) to
-     * pull the host cache lines the simulation of that access will
-     * stall on — exactly ASAP's own insight applied to the simulator
-     * itself. A single PL2 PWC probe (one set scan of a tiny,
-     * host-hot array) predicts the leaf slab PT node; its PTE line and
-     * the memory-model set lines the walk's PL1 access will scan are
-     * prefetched. Deeper PWC levels are not probed: they would only
-     * name upper PT nodes, which are few and host-cache-resident.
-     *
-     * Strictly side-effect-free on model state: only const peeks (no
-     * LRU touches, no counters) and `__builtin_prefetch`, so enabling
-     * it cannot perturb any RunStats bit (Golden suite).
-     *
-     * @return the predicted leaf PTE slot (nullptr on a PL2 peek
-     * miss). Slab nodes are never deallocated (dead ones are only
-     * marked), so the pointer is always safe to dereference later; a
-     * stale prediction at worst wastes a prefetch.
-     */
-    const Pte *
-    prefetchWalkTarget(VirtAddr va) const
-    {
-        const PageWalkCaches::Hit hit = appPwc_.peekLeaf(va);
-        if (!hit.valid() || hit.childIndex == invalidPtNodeIndex)
-            return nullptr;
-        const PtNode &node = system_.appPt().nodeAt(hit.childIndex);
-        const unsigned slot = levelIndex(va, 1);
-        __builtin_prefetch(&node.entries[slot], 0, 3);
-        if (!system_.virtualized()) {
-            mem_->prefetchHostSets((node.pfn << pageShift) +
-                                  slot * pteSize);
-        }
-        return &node.entries[slot];
-    }
-
-    /**
-     * Pipeline stage 2 (near lookahead): @p pte — returned by a
-     * stage-1 prefetchWalkTarget(@p va) a few accesses ago, its line
-     * host-cached by now — predicts the data physical address, whose
-     * access will scan the big LLC tag-set array. Virtualized PTEs
-     * hold guest frames and would need the host dimension's mapping;
-     * the prediction is skipped there.
-     */
-    void
-    prefetchDataTarget(VirtAddr va, const Pte *pte) const
-    {
-        if (pte == nullptr || system_.virtualized())
-            return;
-        const Pte entry = *pte;
-        if (!entry.present() || entry.huge())
-            return;
-        mem_->prefetchHostSets((entry.pfn() << pageShift) |
-                              (va & (pageSize - 1)));
-    }
-
     /** A demand data access (cache pressure + latency, no TLB). */
     Cycles
     dataAccess(PhysAddr pa)
@@ -186,14 +162,7 @@ class Machine
 
     /** Rebuild range registers from current OS state (e.g. after VMA
      *  growth experiments). */
-    void refreshDescriptors();
-
-    /** Entries dropped by a targeted invalidation, per structure. */
-    struct InvalidateCounts
-    {
-        std::uint64_t tlb = 0;
-        std::uint64_t pwc = 0;
-    };
+    void refreshDescriptors() override;
 
     /**
      * Targeted translation shootdown of the (guest-)virtual range
@@ -204,7 +173,7 @@ class Machine
      * guest-physical memory (the hypervisor keeps its backing).
      */
     InvalidateCounts
-    invalidateRange(VirtAddr start, VirtAddr end)
+    invalidateRange(VirtAddr start, VirtAddr end) override
     {
         InvalidateCounts counts;
         counts.tlb = tlb_->invalidateRange(start, end);
@@ -247,7 +216,7 @@ class Machine
      */
     void attachTraceSink(obs::TraceSink *sink);
 
-    obs::TraceSink *traceSink() const { return sink_; }
+    obs::TraceSink *traceSink() const override { return sink_; }
 
     /** Register this machine's component counters (caches, TLBs, PWCs,
      *  MSHRs, walkers, ASAP engines) under stable dotted names. */

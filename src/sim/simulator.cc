@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "dyn/dynamics.hh"
 #include "obs/timeline.hh"
 #include "os/pt_allocators.hh"
 
@@ -43,25 +42,10 @@ RunStats::merge(const RunStats &other)
     appAsap.merge(other.appAsap);
     hostAsap.merge(other.hostAsap);
 
-    // OsDynStats: field-wise sums. Parallel replay rejects dynamic
-    // traces, so in that use these are all zero — but merge stays
-    // total so any future aggregation can rely on it.
-    dyn.events += other.dyn.events;
-    dyn.mmaps += other.dyn.mmaps;
-    dyn.munmaps += other.dyn.munmaps;
-    dyn.minorFaults += other.dyn.minorFaults;
-    dyn.madviseFrees += other.dyn.madviseFrees;
-    dyn.extends += other.dyn.extends;
-    dyn.churnReleases += other.dyn.churnReleases;
-    dyn.dataPagesFreed += other.dyn.dataPagesFreed;
-    dyn.ptNodesFreed += other.dyn.ptNodesFreed;
-    dyn.churnFramesReleased += other.dyn.churnFramesReleased;
-    dyn.tlbInvalidated += other.dyn.tlbInvalidated;
-    dyn.pwcInvalidated += other.dyn.pwcInvalidated;
-    dyn.regionGrowthHoles += other.dyn.regionGrowthHoles;
-    dyn.regionRelocations += other.dyn.regionRelocations;
-    dyn.regionsReleased += other.dyn.regionsReleased;
-    dyn.regionFramesReleased += other.dyn.regionFramesReleased;
+    // Parallel replay rejects dynamic traces, so in that use these are
+    // all zero — but merge stays total so any future aggregation can
+    // rely on it.
+    dyn.merge(other.dyn);
 
     // Counter snapshots add positionally: identically configured
     // machines register the identical name list in the identical
@@ -85,282 +69,177 @@ RunStats::merge(const RunStats &other)
     // profile: deliberately untouched (see the declaration).
 }
 
-template <bool Measuring, bool PerfectTlb>
-void
-Simulator::runPhase(std::uint64_t accesses, const RunConfig &config,
-                    unsigned cpa, Rng &rng, Rng &corunnerRng, Cycles &now,
-                    RunStats &stats)
+AccessStream::AccessStream(System &system, Workload &workload,
+                           ShootdownTarget &target,
+                           const RunConfig &config, std::uint64_t seed)
+    : system_(system), workload_(workload), config_(config), rng_(seed),
+      corunnerRng_(seed ^ 0x5eed), cpa_(workload.computeCyclesPerAccess()),
+      dyn_(workload.events(), system, target),
+      warmupLeft_(config.warmupAccesses),
+      measureLeft_(config.measureAccesses),
+      regions_(system.appAsapAllocator()), regionsAtStart_(regionCounts())
 {
-    const bool colocation = config.colocation;
-    const unsigned corunnerPerAccess = config.corunnerPerAccess;
-    const Cycles streamingLatency = machine_.mem().config().l1d.latency;
+    workload_.reset(rng_);
+}
 
-    if (Measuring) {
-        stats.accesses += accesses;
-        stats.computeCycles += cpa * accesses;
-    }
+AccessStream::RegionCounts
+AccessStream::regionCounts() const
+{
+    if (!regions_)
+        return {};
+    return {regions_->holesCreatedByGrowth(),
+            regions_->framesRelocatedForGrowth(),
+            regions_->regionsReleased(), regions_->releasedFrames()};
+}
 
-    // One access of model work, shared by the plain and the
-    // software-pipelined loops below. noinline: one out-of-line copy
-    // serves both loops — inlining duplicates this large body into
-    // each and measurably loses (front-end pressure) on top of
-    // doubling the code.
-    const auto simulateOne = [&](VirtAddr va) __attribute__((noinline)) {
-        Cycles walkLatency = 0;
-        Translation translation;
-        if (PerfectTlb) {
-            // Ideal TLB: translation is free (Table 6 methodology:
-            // execution with page walks eliminated).
-            translation = system_.touch(va).translation;
-        } else {
-            const Machine::TranslateResult result =
-                machine_.translate(va, now);
-            translation = result.translation;
-            walkLatency = result.walkLatency;
-            if (Measuring) {
-                switch (result.tlbLevel) {
-                  case TlbHitLevel::L1:
-                    ++stats.tlbL1Hits;
-                    break;
-                  case TlbHitLevel::L2:
-                    ++stats.tlbL2Hits;
-                    break;
-                  case TlbHitLevel::Miss:
-                    ++stats.tlbMisses;
-                    break;
-                }
-                if (result.faulted)
-                    ++stats.faults;
-                if (result.walked) {
-                    stats.walkLatency.sample(walkLatency);
-                    stats.walkHist.sample(walkLatency);
-                    if (result.walk) {
-                        for (unsigned level = 1; level <= 5; ++level) {
-                            if (result.walk->requested[level]) {
-                                stats.levelDist[level].record(
-                                    result.walk->servedBy[level]);
-                                stats.levelHist[level].sample(
-                                    result.walk->levelLatency[level]);
+OsDynStats
+AccessStream::dynStats() const
+{
+    OsDynStats d = stats_.dyn;
+    const RegionCounts now = regionCounts();
+    d.regionGrowthHoles = now.holes - regionsAtStart_.holes;
+    d.regionRelocations = now.relocated - regionsAtStart_.relocated;
+    d.regionsReleased = now.released - regionsAtStart_.released;
+    d.regionFramesReleased =
+        now.releasedFrames - regionsAtStart_.releasedFrames;
+    return d;
+}
+
+std::uint64_t
+AccessStream::advance(Machine &machine, Cycles &now, std::uint64_t budget)
+{
+    const Cycles streamingLatency = machine.mem().config().l1d.latency;
+    const bool perfectTlb = config_.perfectTlb;
+    const bool colocation = config_.colocation;
+    const unsigned corunnerPerAccess = config_.corunnerPerAccess;
+    std::uint64_t measured = 0;
+
+    VirtAddr vas[accessBatch];
+    while (budget > 0 && !done()) {
+        const bool measuring = warmupLeft_ == 0;
+        std::uint64_t &phaseLeft = measuring ? measureLeft_ : warmupLeft_;
+        std::size_t batch = static_cast<std::size_t>(
+            std::min({static_cast<std::uint64_t>(accessBatch), budget,
+                      phaseLeft}));
+        if (dyn_.active()) {
+            // Fire every event due at this point of the access stream,
+            // then cap the batch so the next one lands exactly on the
+            // next event's offset. With no event stream (the static
+            // path) none of this runs and batching is unchanged.
+            dyn_.applyDue(consumed_, stats_.dyn, now);
+            const std::uint64_t gap = dyn_.gapUntilNext(consumed_);
+            if (gap < batch)
+                batch = static_cast<std::size_t>(gap);
+        }
+        // The generator draws only from rng and never observes machine
+        // state, so producing a batch up front leaves every simulated
+        // event in the exact order of the access-at-a-time loop.
+        workload_.nextBatch(rng_, vas, batch);
+
+        for (std::size_t i = 0; i < batch; ++i) {
+            const VirtAddr va = vas[i];
+            Cycles walkLatency = 0;
+            Translation translation;
+            if (perfectTlb) {
+                // Ideal TLB: translation is free (Table 6 methodology:
+                // execution with page walks eliminated).
+                translation = system_.touch(va).translation;
+            } else {
+                const Machine::TranslateResult result =
+                    machine.translate(va, now);
+                translation = result.translation;
+                walkLatency = result.walkLatency;
+                if (measuring) {
+                    switch (result.tlbLevel) {
+                      case TlbHitLevel::L1:
+                        ++stats_.tlbL1Hits;
+                        break;
+                      case TlbHitLevel::L2:
+                        ++stats_.tlbL2Hits;
+                        break;
+                      case TlbHitLevel::Miss:
+                        ++stats_.tlbMisses;
+                        break;
+                    }
+                    if (result.faulted)
+                        ++stats_.faults;
+                    if (result.walked) {
+                        stats_.walkLatency.sample(walkLatency);
+                        stats_.walkHist.sample(walkLatency);
+                        if (result.walk) {
+                            for (unsigned level = 1; level <= 5; ++level) {
+                                if (result.walk->requested[level]) {
+                                    stats_.levelDist[level].record(
+                                        result.walk->servedBy[level]);
+                                    stats_.levelHist[level].sample(
+                                        result.walk->levelLatency[level]);
+                                }
                             }
                         }
                     }
                 }
             }
-        }
 
-        const PhysAddr pa = translation.physAddrOf(va);
-        Cycles dataLatency = machine_.dataAccess(pa);
-        // Streaming accesses are covered by the ubiquitous next-line
-        // data prefetcher: the fill (and its cache pressure) is real,
-        // but the core does not expose the miss latency.
-        if (va == lastVa_ + lineSize)
-            dataLatency = streamingLatency;
-        lastVa_ = va;
+            const PhysAddr pa = translation.physAddrOf(va);
+            Cycles dataLatency = machine.dataAccess(pa);
+            // Streaming accesses are covered by the ubiquitous next-line
+            // data prefetcher: the fill (and its cache pressure) is
+            // real, but the core does not expose the miss latency.
+            if (va == lastVa_ + lineSize)
+                dataLatency = streamingLatency;
+            lastVa_ = va;
 
-        now += cpa + dataLatency + walkLatency;
-        if (Measuring) {
-            // accesses/compute/total are derived outside the loop:
-            // accesses = the phase's count, computeCycles =
-            // cpa * accesses, totalCycles = the three components.
-            stats.dataCycles += dataLatency;
-            stats.walkCycles += walkLatency;
-            stats.dataHist.sample(dataLatency);
-        }
-
-        // SMT co-runner: one random access per workload access
-        // (Section 4), contending for the shared cache hierarchy
-        // only.
-        if (colocation) {
-            for (unsigned c = 0; c < corunnerPerAccess; ++c)
-                machine_.corunnerAccess(corunnerRng);
-        }
-    };
-
-    // Software pipelining is disabled for perfect-TLB runs (nothing a
-    // prefetch could predict — the TLBs are never filled) and for
-    // dynamic runs, where a batch may only be generated *after* the OS
-    // events due before it have fired (generation observes the VMA
-    // layout they mutate), so there is no safe lookahead window across
-    // batch boundaries. Under virtualization the translation lookahead
-    // is off too: a guest PTE names a guest frame, whose host lines
-    // need the host dimension's mapping — nothing useful is
-    // predictable from the guest-side peek, and the measured residue
-    // is pure overhead. Colocation runs keep the pipelined loop for
-    // the co-runner RNG lookahead, which is dimension-blind.
-    const bool coPrefetch = colocation && corunnerPerAccess > 0;
-    const bool xlatePrefetch = !system_.virtualized();
-    const std::size_t dist =
-        (PerfectTlb || dyn_ || (!xlatePrefetch && !coPrefetch))
-            ? 0
-            : config.prefetchDistance;
-
-    if (dist == 0) {
-        VirtAddr vas[accessBatch];
-        while (accesses > 0) {
-            std::size_t batch =
-                accesses < accessBatch
-                    ? static_cast<std::size_t>(accesses)
-                    : accessBatch;
-            if (dyn_) {
-                // Fire every event due at this point of the access
-                // stream, then cap the batch so the next one lands
-                // exactly on the next event's offset. With no event
-                // stream (the static path) none of this runs and
-                // batching is unchanged.
-                dyn_->applyDue(consumed_, stats.dyn, now);
-                const std::uint64_t gap = dyn_->gapUntilNext(consumed_);
-                if (gap < batch)
-                    batch = static_cast<std::size_t>(gap);
+            now += cpa_ + dataLatency + walkLatency;
+            if (measuring) {
+                // accesses/compute are counted per batch below, and
+                // totalCycles is derived from the components in finish().
+                stats_.dataCycles += dataLatency;
+                stats_.walkCycles += walkLatency;
+                stats_.dataHist.sample(dataLatency);
             }
-            accesses -= batch;
-            // The generator draws only from rng and never observes
-            // machine state, so producing a batch up front leaves every
-            // simulated event in the exact order of the
-            // access-at-a-time loop.
-            workload_.nextBatch(rng, vas, batch);
 
-            for (std::size_t i = 0; i < batch; ++i)
-                simulateOne(vas[i]);
-            consumed_ += batch;
+            // SMT co-runner: one random access per workload access
+            // (Section 4), contending for the shared cache hierarchy
+            // only.
+            if (colocation) {
+                for (unsigned c = 0; c < corunnerPerAccess; ++c)
+                    machine.corunnerAccess(corunnerRng_);
+            }
         }
-        return;
-    }
 
-    // The software-pipelined static loop: double-buffered batches, so
-    // the lookahead window crosses batch boundaries. Two prefetch
-    // stages run ahead of the simulation of access i:
-    //
-    //   stage 1 at i+dist:    PWC peek, prefetch the slab PTE line and
-    //                         the memory-model sets its walk will scan;
-    //   stage 2 at i+dist/2:  read the PTE stage 1 prefetched (now
-    //                         host-cached), predict the data physical
-    //                         address, prefetch the LLC tag-set lines
-    //                         its data access will scan.
-    //
-    // The stage-2 read is the trick: the leaf PTE *is* one of the
-    // host-missing lines, so reading it synchronously would stall for
-    // exactly the latency being hidden — unless a farther stage
-    // covered it first. Host-side hints only: the simulated event
-    // order and every RunStats bit are identical to the plain loop
-    // above (Golden suite).
-    VirtAddr bufs[2][accessBatch];
-    VirtAddr *cur = bufs[0];
-    VirtAddr *next = bufs[1];
-    const auto draw = [&](VirtAddr *out) -> std::size_t {
-        const std::size_t batch =
-            accesses < accessBatch ? static_cast<std::size_t>(accesses)
-                                   : accessBatch;
-        accesses -= batch;
-        workload_.nextBatch(rng, out, batch);
-        return batch;
-    };
-
-    // Stage-1 results ride this ring until their stage-2 slot comes
-    // up, delay = dist - dist/2 accesses later.
-    struct Predicted
-    {
-        VirtAddr va;
-        const Pte *pte;
-    };
-    const std::size_t delay = dist - dist / 2;
-    std::vector<Predicted> ring(delay, Predicted{0, nullptr});
-    std::size_t ringPos = 0;
-    // Workloads are bursty (several accesses per touched page): a
-    // lookahead access on the same page as the previous one needs no
-    // new stage-1 probe — its lines were just prefetched.
-    Vpn lastPeekVpn = ~Vpn{0};
-
-    // Co-runner lookahead: the co-runner address stream is pure RNG
-    // output, so a *copy* of its generator run dist accesses ahead
-    // predicts every future address exactly. Each predicted address
-    // names the LLC tag set its accessPlain will scan — the dominant
-    // host-memory traffic of colocation runs. The copy never touches
-    // the real corunnerRng, so the simulated stream is unchanged.
-    const std::uint64_t machineMem = system_.machineMemBytes();
-    Rng corunnerAhead = corunnerRng;
-    if (coPrefetch) {
-        for (std::size_t k = 0; k < dist * corunnerPerAccess; ++k) {
-            machine_.mem().prefetchHostSets(
-                corunnerAhead.below(machineMem));
+        consumed_ += batch;
+        budget -= batch;
+        phaseLeft -= batch;
+        if (measuring) {
+            stats_.accesses += batch;
+            stats_.computeCycles += cpa_ * batch;
+            measured += batch;
         }
     }
+    return measured;
+}
 
-    std::size_t curCount = draw(cur);
-    while (curCount > 0) {
-        const std::size_t nextCount = draw(next);
-        for (std::size_t i = 0; i < curCount; ++i) {
-            const std::size_t ahead = i + dist;
-            Predicted incoming{0, nullptr};
-            if (ahead < curCount)
-                incoming.va = cur[ahead];
-            else if (ahead - curCount < nextCount)
-                incoming.va = next[ahead - curCount];
-            if (xlatePrefetch && incoming.va != 0 &&
-                vpnOf(incoming.va) != lastPeekVpn) {
-                lastPeekVpn = vpnOf(incoming.va);
-                incoming.pte = machine_.prefetchWalkTarget(incoming.va);
-            }
-            Predicted &slot = ring[ringPos];
-            if (slot.pte != nullptr)
-                machine_.prefetchDataTarget(slot.va, slot.pte);
-            slot = incoming;
-            ringPos = ringPos + 1 == delay ? 0 : ringPos + 1;
-            if (coPrefetch) {
-                for (unsigned c = 0; c < corunnerPerAccess; ++c) {
-                    machine_.mem().prefetchHostSets(
-                        corunnerAhead.below(machineMem));
-                }
-            }
-            simulateOne(cur[i]);
-        }
-        consumed_ += curCount;
-        cur = (cur == bufs[0]) ? bufs[1] : bufs[0];
-        next = (next == bufs[0]) ? bufs[1] : bufs[0];
-        curCount = nextCount;
-    }
+void
+AccessStream::finish(Cycles now)
+{
+    // Events scheduled exactly at the end of the stream still fire
+    // (e.g. a final tenant departure).
+    if (dyn_.active())
+        dyn_.applyDue(consumed_, stats_.dyn, now);
+    stats_.dyn = dynStats();
+    stats_.totalCycles =
+        stats_.computeCycles + stats_.dataCycles + stats_.walkCycles;
 }
 
 RunStats
 Simulator::run(const RunConfig &config)
 {
-    Rng rng(config.seed);
-    Rng corunnerRng(config.seed ^ 0x5eed);
-    workload_.reset(rng);
-
-    const unsigned cpa = workload_.computeCyclesPerAccess();
-    RunStats stats;
-    Cycles now = 0;
-
     // OS dynamics: a workload may carry an event stream (churn
     // profiles, replayed dynamic traces). Events fire between batches
-    // at exact access offsets; with no stream the loop is untouched.
-    OsDynamics dynamics(workload_.events(), system_, machine_);
-    dyn_ = dynamics.active() ? &dynamics : nullptr;
-    consumed_ = 0;
-
-    // ASAP region-lifecycle counters are reported as this run's deltas.
-    const AsapPtAllocator *appAllocator = system_.appAsapAllocator();
-    struct RegionSnapshot
-    {
-        std::uint64_t holes, relocated, released, releasedFrames;
-    } before{};
-    if (appAllocator) {
-        before = {appAllocator->holesCreatedByGrowth(),
-                  appAllocator->framesRelocatedForGrowth(),
-                  appAllocator->regionsReleased(),
-                  appAllocator->releasedFrames()};
-    }
-
-    // Parallel replay: a shard measures its slice of the stream. The
-    // warmup prefix ran as usual (identical machine state across
-    // shards); reposition the stored stream at the slice start. With
-    // measureSkip 0 (one shard) the seek is positionally a no-op and
-    // the run is bit-identical to a plain serial one — the equivalence
-    // tests/test_parallel.cc pins.
-    const auto seekForMeasure = [&] {
-        if (config.measureSeek)
-            workload_.seekTo(config.warmupAccesses + config.measureSkip);
-    };
+    // at exact access offsets, their shootdowns on this Machine.
+    AccessStream stream(system_, workload_, machine_, config, config.seed);
+    RunStats &stats = stream.stats();
+    Cycles now = 0;
 
     // Counter collection shared by the timeline's epoch boundaries and
     // the end-of-run snapshot below: the identical name list and the
@@ -373,38 +252,7 @@ Simulator::run(const RunConfig &config)
         machine_.registerCounters(registry);
         system_.registerCounters(registry);
         auto counters = registry.snapshot();
-        OsDynStats d = stats.dyn;
-        if (appAllocator) {
-            d.regionGrowthHoles =
-                appAllocator->holesCreatedByGrowth() - before.holes;
-            d.regionRelocations =
-                appAllocator->framesRelocatedForGrowth() -
-                before.relocated;
-            d.regionsReleased =
-                appAllocator->regionsReleased() - before.released;
-            d.regionFramesReleased =
-                appAllocator->releasedFrames() - before.releasedFrames;
-        }
-        counters.emplace_back("dyn.events", d.events);
-        counters.emplace_back("dyn.mmaps", d.mmaps);
-        counters.emplace_back("dyn.munmaps", d.munmaps);
-        counters.emplace_back("dyn.minorFaults", d.minorFaults);
-        counters.emplace_back("dyn.madviseFrees", d.madviseFrees);
-        counters.emplace_back("dyn.extends", d.extends);
-        counters.emplace_back("dyn.churnReleases", d.churnReleases);
-        counters.emplace_back("dyn.dataPagesFreed", d.dataPagesFreed);
-        counters.emplace_back("dyn.ptNodesFreed", d.ptNodesFreed);
-        counters.emplace_back("dyn.churnFramesReleased",
-                              d.churnFramesReleased);
-        counters.emplace_back("dyn.tlbInvalidated", d.tlbInvalidated);
-        counters.emplace_back("dyn.pwcInvalidated", d.pwcInvalidated);
-        counters.emplace_back("dyn.regionGrowthHoles",
-                              d.regionGrowthHoles);
-        counters.emplace_back("dyn.regionRelocations",
-                              d.regionRelocations);
-        counters.emplace_back("dyn.regionsReleased", d.regionsReleased);
-        counters.emplace_back("dyn.regionFramesReleased",
-                              d.regionFramesReleased);
+        stream.dynStats().appendCounters(counters);
         return counters;
     };
 
@@ -440,7 +288,8 @@ Simulator::run(const RunConfig &config)
         gauge("buddy.largestFreeOrderPlus1",
               static_cast<std::uint64_t>(largest + 1));
         gauge("buddy.fragPermille", buddy.fragmentationPermille());
-        if (appAllocator) {
+        if (const AsapPtAllocator *appAllocator =
+                system_.appAsapAllocator()) {
             std::uint64_t live = 0, slots = 0, backed = 0;
             for (const auto *region : appAllocator->regions()) {
                 ++live;
@@ -460,47 +309,37 @@ Simulator::run(const RunConfig &config)
     };
 
     const double phaseStart = obs::wallSeconds();
-    if (config.perfectTlb) {
-        runPhase<false, true>(config.warmupAccesses, config, cpa, rng,
-                              corunnerRng, now, stats);
-    } else {
-        runPhase<false, false>(config.warmupAccesses, config, cpa, rng,
-                               corunnerRng, now, stats);
-    }
+    stream.advance(machine_, now, config.warmupAccesses);
     stats.profile.warmupSec = obs::wallSeconds() - phaseStart;
-    seekForMeasure();
 
-    const auto measurePhase = [&](std::uint64_t accesses) {
-        if (config.perfectTlb) {
-            runPhase<true, true>(accesses, config, cpa, rng, corunnerRng,
-                                 now, stats);
-        } else {
-            runPhase<true, false>(accesses, config, cpa, rng,
-                                  corunnerRng, now, stats);
-        }
-    };
+    // Parallel replay: a shard measures its slice of the stream. The
+    // warmup prefix ran as usual (identical machine state across
+    // shards); reposition the stored stream at the slice start. With
+    // measureSkip 0 (one shard) the seek is positionally a no-op and
+    // the run is bit-identical to a plain serial one — the equivalence
+    // tests/test_parallel.cc pins.
+    if (config.measureSeek)
+        workload_.seekTo(config.warmupAccesses + config.measureSkip);
+
+    // Epoch chunking (see attachTimeline): every workload's nextBatch
+    // draws addresses one at a time from its generation core, so
+    // splitting the phase replays the identical stream. The final
+    // boundary is sampled after the post-run bookkeeping below, so the
+    // last epoch's cumulative counters equal stats.counters exactly.
     const std::uint64_t epochLen =
-        timeline_ ? timeline_->epochAccesses() : 0;
-    if (epochLen == 0) {
-        measurePhase(config.measureAccesses);
-    } else {
-        // Epoch chunking (see attachTimeline): every workload's
-        // nextBatch draws addresses one at a time from its generation
-        // core, so splitting the phase replays the identical stream.
-        // The final boundary is sampled after the post-run bookkeeping
-        // below, so the last epoch's cumulative counters equal
-        // stats.counters exactly.
-        std::uint64_t done = 0;
-        while (done < config.measureAccesses) {
-            const std::uint64_t chunk =
-                std::min(epochLen, config.measureAccesses - done);
-            measurePhase(chunk);
-            done += chunk;
-            if (done < config.measureAccesses) {
-                timeline_->sample(done, now, collectCounters(),
-                                  stats.walkHist, stats.dataHist,
-                                  collectGauges());
-            }
+        timeline_ && timeline_->epochAccesses() != 0
+            ? timeline_->epochAccesses()
+            : config.measureAccesses;
+    std::uint64_t done = 0;
+    while (done < config.measureAccesses) {
+        const std::uint64_t chunk =
+            std::min(epochLen, config.measureAccesses - done);
+        stream.advance(machine_, now, chunk);
+        done += chunk;
+        if (timeline_ && done < config.measureAccesses) {
+            timeline_->sample(done, now, collectCounters(),
+                              stats.walkHist, stats.dataHist,
+                              collectGauges());
         }
     }
     stats.profile.measureSec =
@@ -511,38 +350,9 @@ Simulator::run(const RunConfig &config)
                   stats.profile.measureSec
             : 0.0;
 
-    // Events scheduled exactly at the end of the stream still fire
-    // (e.g. a final tenant departure).
-    if (dyn_)
-        dyn_->applyDue(consumed_, stats.dyn, now);
-    dyn_ = nullptr;
-
-    if (appAllocator) {
-        stats.dyn.regionGrowthHoles =
-            appAllocator->holesCreatedByGrowth() - before.holes;
-        stats.dyn.regionRelocations =
-            appAllocator->framesRelocatedForGrowth() - before.relocated;
-        stats.dyn.regionsReleased =
-            appAllocator->regionsReleased() - before.released;
-        stats.dyn.regionFramesReleased =
-            appAllocator->releasedFrames() - before.releasedFrames;
-    }
-
-    stats.totalCycles =
-        stats.computeCycles + stats.dataCycles + stats.walkCycles;
-
-    const auto engineStats = [](const AsapEngine *engine) {
-        AsapEngineStats s;
-        if (engine) {
-            s.triggers = engine->triggers();
-            s.rangeHits = engine->rangeHits();
-            s.attempted = engine->attempted();
-            s.issued = engine->issued();
-        }
-        return s;
-    };
-    stats.appAsap = engineStats(machine_.appEngine());
-    stats.hostAsap = engineStats(machine_.hostEngine());
+    stream.finish(now);
+    stats.appAsap = AsapEngineStats::of(machine_.appEngine());
+    stats.hostAsap = AsapEngineStats::of(machine_.hostEngine());
 
     // Snapshot every registered component counter into the run's
     // result — the sweep layer emits whatever appears here, so new
@@ -558,7 +368,7 @@ Simulator::run(const RunConfig &config)
                           stats.walkHist, stats.dataHist,
                           collectGauges());
     }
-    return stats;
+    return std::move(stats);
 }
 
 } // namespace asap

@@ -10,12 +10,10 @@
  * charges per access: the workload's compute cycles, the data-access
  * latency, and the full walk latency on a TLB miss.
  *
- * NOTE: the multi-core model (src/mc/multicore.cc, runQuantum)
- * mirrors this file's per-access arithmetic line for line — the
- * 1-core/1-tenant mc shape is pinned bit-identical to Simulator::run,
- * RunStats and counters included (tests/test_mc.cc). A change to the
- * access loop, the stats accounting or collectCounters() here must be
- * reflected there, or test_mc will tell you.
+ * AccessStream is the one loop that does this. Simulator::run drives a
+ * single stream on a single Machine; the multi-core model (src/mc)
+ * drives one stream per tenant, a scheduling quantum at a time, on the
+ * Machine of whichever core the tenant runs.
  */
 
 #ifndef ASAP_SIM_SIMULATOR_HH
@@ -27,8 +25,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "dyn/dynamics.hh"
 #include "dyn/os_events.hh"
 #include "obs/histogram.hh"
 #include "obs/profile.hh"
@@ -44,7 +44,7 @@ namespace obs
 class Timeline;
 }
 
-class OsDynamics;
+class AsapPtAllocator;
 
 struct RunConfig
 {
@@ -59,19 +59,6 @@ struct RunConfig
     /** Ideal-TLB run: no misses, no walks (Table 6 methodology). */
     bool perfectTlb = false;
     std::uint64_t seed = 7;
-
-    /**
-     * Software-pipelining lookahead: while access i is simulated, the
-     * host cache lines its structures' set scans will touch for access
-     * i+D are `__builtin_prefetch`ed (Machine::prefetchWalkTarget /
-     * prefetchDataTarget, plus the co-runner RNG lookahead). 0
-     * disables. Host-side only — any distance produces bit-identical
-     * RunStats; the default was tuned with `bench/perf_hotpath
-     * --prefetch-dist` (the win is host-dependent: see README
-     * "Performance"). Ignored for perfect-TLB and dynamic (OS-event)
-     * runs, where lookahead is pointless or unsafe respectively.
-     */
-    unsigned prefetchDistance = 16;
 
     /**
      * Parallel replay (src/sim/parallel_replay.hh): reposition a
@@ -91,6 +78,21 @@ struct AsapEngineStats
     std::uint64_t rangeHits = 0;   ///< range-register matches
     std::uint64_t attempted = 0;   ///< per-level prefetches attempted
     std::uint64_t issued = 0;      ///< accepted by the hierarchy
+
+    /** The lifetime counters of @p engine (all zero for nullptr, i.e.
+     *  ASAP off in that dimension). */
+    static AsapEngineStats
+    of(const AsapEngine *engine)
+    {
+        AsapEngineStats s;
+        if (engine) {
+            s.triggers = engine->triggers();
+            s.rangeHits = engine->rangeHits();
+            s.attempted = engine->attempted();
+            s.issued = engine->issued();
+        }
+        return s;
+    }
 
     /** Fold another engine's counters in (parallel-replay merge). */
     void
@@ -195,6 +197,86 @@ struct RunStats
     void merge(const RunStats &other);
 };
 
+/**
+ * One workload's access stream over a run: warmup, then measurement.
+ * It owns the per-run state — the address and co-runner RNGs, the
+ * streaming-detection last VA, the OS-event dynamics and the access
+ * clock they fire against, the warmup/measure counts, the ASAP
+ * region-lifecycle baseline, and the RunStats being filled — so any
+ * caller can advance it in pieces, on any Machine over its System.
+ *
+ * How the budget is split never matters: workloads draw addresses one
+ * at a time, so batch boundaries leave the draw order unchanged, and
+ * OS events fire at exact access offsets.
+ */
+class AccessStream
+{
+  public:
+    /**
+     * Reset @p workload for a run of @p config from @p seed (the
+     * co-runner stream derives from it). OS-event side effects go to
+     * @p target. All references must outlive the stream.
+     */
+    AccessStream(System &system, Workload &workload,
+                 ShootdownTarget &target, const RunConfig &config,
+                 std::uint64_t seed);
+
+    /**
+     * Simulate up to @p budget more accesses of the stream on
+     * @p machine, advancing its clock @p now; the warmup/measure
+     * boundary may fall anywhere inside. @return the measured accesses
+     * among them.
+     */
+    std::uint64_t advance(Machine &machine, Cycles &now,
+                          std::uint64_t budget);
+
+    bool done() const { return warmupLeft_ + measureLeft_ == 0; }
+
+    /** Fire the events due at the end of the stream, then fill in the
+     *  region-lifecycle deltas and totalCycles. Call once, when done. */
+    void finish(Cycles now);
+
+    RunStats &stats() { return stats_; }
+    const RunStats &stats() const { return stats_; }
+
+    /** stats().dyn with the region-lifecycle counters as deltas since
+     *  the stream began (what finish() stores; counters read it
+     *  mid-run too). */
+    OsDynStats dynStats() const;
+
+  private:
+    /** The app-dimension ASAP allocator's region-lifecycle counters. */
+    struct RegionCounts
+    {
+        std::uint64_t holes = 0, relocated = 0, released = 0,
+                      releasedFrames = 0;
+    };
+    RegionCounts regionCounts() const;
+
+    System &system_;
+    Workload &workload_;
+    const RunConfig config_;
+
+    Rng rng_;
+    Rng corunnerRng_;
+    const unsigned cpa_;
+    VirtAddr lastVa_ = ~VirtAddr{0};
+
+    OsDynamics dyn_;
+    /** Accesses consumed so far (warmup + measure): the clock OS
+     *  events fire against. */
+    std::uint64_t consumed_ = 0;
+    std::uint64_t warmupLeft_;
+    std::uint64_t measureLeft_;
+
+    const AsapPtAllocator *regions_;
+    /** ASAP region-lifecycle counters are reported as this run's
+     *  deltas from these. */
+    const RegionCounts regionsAtStart_;
+
+    RunStats stats_;
+};
+
 class Simulator
 {
   public:
@@ -206,42 +288,23 @@ class Simulator
 
     /**
      * Attach (or detach, with nullptr) a time-resolved telemetry
-     * probe (obs/timeline.hh). With a timeline attached, run() splits
-     * the *measure* phase into epoch-sized runPhase calls and samples
+     * probe (obs/timeline.hh). With a timeline attached, run() advances
+     * the *measure* phase in epoch-sized steps and samples
      * counters/histograms/gauges at each boundary — the address
      * stream, every simulated event, and every RunStats bit are
      * identical to the unchunked run (workloads generate addresses
      * one at a time, so batch partitioning cannot change the draw
      * order; pinned against the Golden suite by
      * tests/test_timeline.cc). Detached (the default) costs nothing:
-     * one null check per run, zero branches in the hot loops.
+     * one null check per run, zero branches in the access loop.
      */
     void attachTimeline(obs::Timeline *timeline)
     { timeline_ = timeline; }
 
   private:
-    /**
-     * One simulation phase (warmup or measurement) over @p accesses
-     * addresses. Measuring and PerfectTlb are compile-time so the inner
-     * loop carries neither branch; addresses are consumed in batches
-     * (one virtual dispatch per batch, see Workload::nextBatch).
-     */
-    template <bool Measuring, bool PerfectTlb>
-    void runPhase(std::uint64_t accesses, const RunConfig &config,
-                  unsigned cpa, Rng &rng, Rng &corunnerRng, Cycles &now,
-                  RunStats &stats);
-
     System &system_;
     Machine &machine_;
     Workload &workload_;
-    VirtAddr lastVa_ = ~VirtAddr{0};
-
-    /** Live only during run() when the workload carries an OS-event
-     *  stream; null on the (unchanged) static path. */
-    OsDynamics *dyn_ = nullptr;
-    /** Accesses consumed so far this run (warmup + measure) — the
-     *  clock OS events fire against. */
-    std::uint64_t consumed_ = 0;
 
     /** Null by default (zero-cost detached, like the trace sink). */
     obs::Timeline *timeline_ = nullptr;

@@ -87,29 +87,6 @@ class PageWalkCaches
      */
     Hit lookupDeepest(VirtAddr va);
 
-    /**
-     * Side-effect-free PL2-only probe (software-pipelined prefetch):
-     * no recency touch, no lookup/hit counters — predicts the leaf PT
-     * node a walk of @p va would descend to, without perturbing any
-     * state the Golden suite pins. Only the deepest cache is probed:
-     * this runs once per lookahead access, and a shallower hit would
-     * merely name an upper node (few of those; host-cache-resident).
-     * Inline because the caller is the simulator's hottest loop.
-     */
-    Hit
-    peekLeaf(VirtAddr va) const
-    {
-        const SetAssoc<Payload> &cache = caches_[2];
-        if (cache.empty())
-            return {};
-        const std::uint64_t tag = tagOf(va, 2);
-        const auto way = cache.find(cache.setOf(tag),
-                                    SetAssoc<Payload>::keyFor(tag));
-        if (way)
-            return {2, way.payload->childPfn, way.payload->childIndex};
-        return {};
-    }
-
     /** Cache the level-@p level entry for @p va (child node @p pfn,
      *  living at @p childIndex in its table's slab). */
     void insert(unsigned level, VirtAddr va, Pfn childPfn,

@@ -28,6 +28,7 @@
 #include "sim/machine.hh"
 #include "sim/simulator.hh"
 #include "sim/system.hh"
+#include "workloads/dynamic.hh"
 #include "workloads/synthetic.hh"
 
 namespace asap::golden
@@ -61,6 +62,10 @@ struct Scenario
     EnvironmentOptions env;
     MachineConfig machine;
     bool colocation = false;
+    /** Ideal-TLB run (RunConfig::perfectTlb). */
+    bool perfectTlb = false;
+    /** OS-event profile wrapped around goldenSpec() ("" = static). */
+    std::string dynProfile;
 };
 
 /** Native / virtualized / clustered / hugepage / colocation coverage. */
@@ -108,6 +113,33 @@ goldenScenarios()
     return scenarios;
 }
 
+/**
+ * Run shapes pinned apart from goldenScenarios(), whose every entry
+ * ZeroEvents.GoldenScenariosBitIdentical re-runs under its own
+ * never-firing churn: the perfect-TLB run and a firing churn run.
+ */
+inline std::vector<Scenario>
+extraScenarios()
+{
+    std::vector<Scenario> scenarios;
+
+    Scenario perfect;
+    perfect.name = "perfect_tlb_native_asap";
+    perfect.env.asapPlacement = true;
+    perfect.machine = makeMachineConfig(AsapConfig::p1p2());
+    perfect.perfectTlb = true;
+    scenarios.push_back(perfect);
+
+    Scenario churn;
+    churn.name = "churn_tenants_asap";
+    churn.env.asapPlacement = true;
+    churn.machine = makeMachineConfig(AsapConfig::p1p2());
+    churn.dynProfile = "tenants";
+    scenarios.push_back(churn);
+
+    return scenarios;
+}
+
 inline RunConfig
 goldenRunConfig(bool colocation)
 {
@@ -124,13 +156,18 @@ goldenRunConfig(bool colocation)
 inline RunStats
 runScenario(const Scenario &scenario)
 {
-    const WorkloadSpec spec = goldenSpec();
+    const WorkloadSpec spec =
+        scenario.dynProfile.empty()
+            ? goldenSpec()
+            : withDynamics(goldenSpec(), scenario.dynProfile, 1.0, 3'000);
     System system(makeSystemConfig(spec, scenario.env));
     const std::unique_ptr<Workload> workload = makeWorkload(spec);
     workload->setup(system);
     Machine machine(system, scenario.machine);
     Simulator simulator(system, machine, *workload);
-    return simulator.run(goldenRunConfig(scenario.colocation));
+    RunConfig run = goldenRunConfig(scenario.colocation);
+    run.perfectTlb = scenario.perfectTlb;
+    return simulator.run(run);
 }
 
 /** Everything the golden tests pin, flattened to integers. */
@@ -176,6 +213,18 @@ flatten(const RunStats &stats)
     e.appIssued = stats.appAsap.issued;
     e.hostIssued = stats.hostAsap.issued;
     return e;
+}
+
+/** RunStats::dyn, field by field in declaration order. */
+inline std::array<std::uint64_t, 16>
+flattenDyn(const RunStats &stats)
+{
+    const OsDynStats &d = stats.dyn;
+    return {d.events, d.mmaps, d.munmaps, d.minorFaults, d.madviseFrees,
+            d.extends, d.churnReleases, d.dataPagesFreed, d.ptNodesFreed,
+            d.churnFramesReleased, d.tlbInvalidated, d.pwcInvalidated,
+            d.regionGrowthHoles, d.regionRelocations, d.regionsReleased,
+            d.regionFramesReleased};
 }
 
 } // namespace asap::golden

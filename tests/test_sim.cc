@@ -370,6 +370,37 @@ TEST(Suite, Table2VmaCounts)
     }
 }
 
+namespace
+{
+
+/** Every field of a golden digest, compared one by one. */
+void
+expectSameDigest(const golden::Expect &got, const golden::Expect &want)
+{
+    EXPECT_EQ(got.tlbL1Hits, want.tlbL1Hits);
+    EXPECT_EQ(got.tlbL2Hits, want.tlbL2Hits);
+    EXPECT_EQ(got.tlbMisses, want.tlbMisses);
+    EXPECT_EQ(got.faults, want.faults);
+    EXPECT_EQ(got.walkCount, want.walkCount);
+    EXPECT_EQ(got.walkSum, want.walkSum);
+    EXPECT_EQ(got.walkMin, want.walkMin);
+    EXPECT_EQ(got.walkMax, want.walkMax);
+    EXPECT_EQ(got.totalCycles, want.totalCycles);
+    EXPECT_EQ(got.walkCycles, want.walkCycles);
+    EXPECT_EQ(got.dataCycles, want.dataCycles);
+    EXPECT_EQ(got.computeCycles, want.computeCycles);
+    EXPECT_EQ(got.levelTotal, want.levelTotal);
+    EXPECT_EQ(got.levelPwc, want.levelPwc);
+    EXPECT_EQ(got.levelDram, want.levelDram);
+    EXPECT_EQ(got.appTriggers, want.appTriggers);
+    EXPECT_EQ(got.appRangeHits, want.appRangeHits);
+    EXPECT_EQ(got.appAttempted, want.appAttempted);
+    EXPECT_EQ(got.appIssued, want.appIssued);
+    EXPECT_EQ(got.hostIssued, want.hostIssued);
+}
+
+} // namespace
+
 /**
  * Refactor-safety goldens: the complete observable RunStats of six
  * structurally distinct configurations, pinned bit-for-bit.
@@ -444,30 +475,56 @@ TEST(Golden, RunStatsBitIdenticalAcrossConfigs)
         SCOPED_TRACE(scenario.name);
         const auto it = expected.find(scenario.name);
         ASSERT_NE(it, expected.end());
-        const golden::Expect &want = it->second;
-        const golden::Expect got =
-            golden::flatten(golden::runScenario(scenario));
+        expectSameDigest(golden::flatten(golden::runScenario(scenario)),
+                         it->second);
+    }
+}
 
-        EXPECT_EQ(got.tlbL1Hits, want.tlbL1Hits);
-        EXPECT_EQ(got.tlbL2Hits, want.tlbL2Hits);
-        EXPECT_EQ(got.tlbMisses, want.tlbMisses);
-        EXPECT_EQ(got.faults, want.faults);
-        EXPECT_EQ(got.walkCount, want.walkCount);
-        EXPECT_EQ(got.walkSum, want.walkSum);
-        EXPECT_EQ(got.walkMin, want.walkMin);
-        EXPECT_EQ(got.walkMax, want.walkMax);
-        EXPECT_EQ(got.totalCycles, want.totalCycles);
-        EXPECT_EQ(got.walkCycles, want.walkCycles);
-        EXPECT_EQ(got.dataCycles, want.dataCycles);
-        EXPECT_EQ(got.computeCycles, want.computeCycles);
-        EXPECT_EQ(got.levelTotal, want.levelTotal);
-        EXPECT_EQ(got.levelPwc, want.levelPwc);
-        EXPECT_EQ(got.levelDram, want.levelDram);
-        EXPECT_EQ(got.appTriggers, want.appTriggers);
-        EXPECT_EQ(got.appRangeHits, want.appRangeHits);
-        EXPECT_EQ(got.appAttempted, want.appAttempted);
-        EXPECT_EQ(got.appIssued, want.appIssued);
-        EXPECT_EQ(got.hostIssued, want.hostIssued);
+/**
+ * Two run shapes no literal above can pin, captured the same way:
+ * the perfect-TLB run (Table 6's ideal TLB: only data and compute
+ * cycles move) and a firing churn run — the "tenants" profile over the
+ * pinned workload with ASAP placement and P1+P2, whose OS events,
+ * shootdowns and region teardown land in RunStats::dyn as well.
+ */
+TEST(Golden, PerfectTlbAndChurnBitIdentical)
+{
+    const std::map<std::string, golden::Expect> expected = {
+        {"perfect_tlb_native_asap",
+         {0, 0, 0, 0,
+          0, 0, 0, 0,
+          933928, 0, 885928, 48000,
+          {0, 0, 0, 0, 0},
+          {0, 0, 0, 0, 0},
+          {0, 0, 0, 0, 0},
+          0, 0, 0, 0,
+          0}},
+        {"churn_tenants_asap",
+         {8431, 2980, 4589, 88,
+          4589, 255015, 6, 191,
+          1214616, 255015, 911601, 48000,
+          {4589, 4589, 4589, 4589, 0},
+          {0, 4155, 4584, 4584, 0},
+          {0, 0, 0, 0, 0},
+          6201, 6201, 12402, 4914,
+          0}},
+    };
+    const std::map<std::string, std::array<std::uint64_t, 16>>
+        expectedDyn = {
+            {"perfect_tlb_native_asap",
+             {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+            {"churn_tenants_asap",
+             {29, 6, 3, 3840, 6, 1, 1, 3072, 6, 0, 137, 17, 0, 0, 6, 9}},
+        };
+
+    for (const golden::Scenario &scenario : golden::extraScenarios()) {
+        SCOPED_TRACE(scenario.name);
+        ASSERT_EQ(expected.count(scenario.name), 1u);
+        const RunStats stats = golden::runScenario(scenario);
+        expectSameDigest(golden::flatten(stats),
+                         expected.at(scenario.name));
+        EXPECT_EQ(golden::flattenDyn(stats),
+                  expectedDyn.at(scenario.name));
     }
 }
 
@@ -500,29 +557,9 @@ TEST(Golden, TraceReplayBitIdentical)
         replay.setup(system);
         Machine machine(system, scenario.machine);
         Simulator simulator(system, machine, replay);
-        const golden::Expect got = golden::flatten(
-            simulator.run(golden::goldenRunConfig(scenario.colocation)));
-
-        EXPECT_EQ(got.tlbL1Hits, live.tlbL1Hits);
-        EXPECT_EQ(got.tlbL2Hits, live.tlbL2Hits);
-        EXPECT_EQ(got.tlbMisses, live.tlbMisses);
-        EXPECT_EQ(got.faults, live.faults);
-        EXPECT_EQ(got.walkCount, live.walkCount);
-        EXPECT_EQ(got.walkSum, live.walkSum);
-        EXPECT_EQ(got.walkMin, live.walkMin);
-        EXPECT_EQ(got.walkMax, live.walkMax);
-        EXPECT_EQ(got.totalCycles, live.totalCycles);
-        EXPECT_EQ(got.walkCycles, live.walkCycles);
-        EXPECT_EQ(got.dataCycles, live.dataCycles);
-        EXPECT_EQ(got.computeCycles, live.computeCycles);
-        EXPECT_EQ(got.levelTotal, live.levelTotal);
-        EXPECT_EQ(got.levelPwc, live.levelPwc);
-        EXPECT_EQ(got.levelDram, live.levelDram);
-        EXPECT_EQ(got.appTriggers, live.appTriggers);
-        EXPECT_EQ(got.appRangeHits, live.appRangeHits);
-        EXPECT_EQ(got.appAttempted, live.appAttempted);
-        EXPECT_EQ(got.appIssued, live.appIssued);
-        EXPECT_EQ(got.hostIssued, live.hostIssued);
+        expectSameDigest(golden::flatten(simulator.run(
+                             golden::goldenRunConfig(scenario.colocation))),
+                         live);
     }
     std::remove(path.c_str());
 }
