@@ -50,7 +50,6 @@
 #include "mc/multicore.hh"
 #include "obs/profile.hh"
 #include "sim/environment.hh"
-#include "sim/parallel_replay.hh"
 #include "trace/convert.hh"
 #include "workloads/dynamic.hh"
 #include "workloads/suite.hh"
@@ -317,109 +316,6 @@ timeTraceDecode(bool quick, unsigned reps)
 }
 
 /**
- * Time --parallel-replay against a plain serial replay of the same
- * trace, wall-clock (see CaseTiming::wallClock — CPU time would count
- * all shard threads and inflate the parallel number). Both cases
- * charge the *serial* access total (warmup + measure), so the acc/s
- * ratio reads directly as the mode's wall-clock speedup even though
- * each shard internally replays its own warmup prefix. Tracked, not
- * gated: shard scaling depends on the host's core count.
- */
-std::vector<CaseTiming>
-timeParallelReplay(const WorkloadSpec &spec, bool quick, unsigned reps,
-                   unsigned shards)
-{
-    // Parallel replay needs a seekable trace: reuse a static --trace
-    // workload, otherwise record the hotpath generator stream.
-    std::string path = spec.tracePath;
-    bool recorded = false;
-    RunConfig run = defaultRunConfig(false);
-    if (quick) {
-        run.warmupAccesses = quickWarmupAccesses;
-        run.measureAccesses = quickMeasureAccesses;
-    }
-    if (path.empty()) {
-        path = "perf_hotpath_replay.trc";
-        recordTrace(spec, path, run.seed,
-                    run.warmupAccesses + run.measureAccesses);
-        recorded = true;
-    }
-    const WorkloadSpec replaySpec = traceSpec(path);
-    const std::uint64_t accesses =
-        run.warmupAccesses + run.measureAccesses;
-
-    EnvironmentOptions envOptions;
-    envOptions.asapPlacement = true;
-    const MachineConfig machine = makeMachineConfig(AsapConfig::p1p2());
-
-    std::vector<CaseTiming> timings;
-
-    CaseTiming serial;
-    serial.name = "replay_serial";
-    serial.wallClock = true;
-    serial.accesses = accesses;
-    serial.seconds = 1e300;
-    for (unsigned rep = 0; rep < reps; ++rep) {
-        Environment env(replaySpec, envOptions);
-        const double start = obs::wallSeconds();
-        const RunStats stats = env.run(machine, run);
-        const double secs = obs::wallSeconds() - start;
-        if (secs < serial.seconds) {
-            serial.seconds = secs;
-            serial.avgWalkLatency = stats.avgWalkLatency();
-            serial.profile = stats.profile;
-        }
-    }
-    serial.accessesPerSec =
-        static_cast<double>(accesses) / serial.seconds;
-    timings.push_back(serial);
-
-    CaseTiming parallel;
-    parallel.name = "parallel_replay";
-    parallel.wallClock = true;
-    parallel.accesses = accesses;
-    parallel.seconds = 1e300;
-    ParallelReplayOptions options;
-    options.shards = shards;
-    for (unsigned rep = 0; rep < reps; ++rep) {
-        const double start = obs::wallSeconds();
-        StatusOr<RunStats> stats = runParallelReplay(
-            replaySpec, envOptions, machine, run, options);
-        const double secs = obs::wallSeconds() - start;
-        if (!stats.ok()) {
-            std::fprintf(stderr, "perf_hotpath: parallel replay: %s\n",
-                         stats.status().toString().c_str());
-            break;
-        }
-        if (secs < parallel.seconds) {
-            parallel.seconds = secs;
-            parallel.avgWalkLatency = stats->avgWalkLatency();
-            parallel.profile = stats->profile;
-        }
-    }
-    if (parallel.seconds < 1e300) {
-        parallel.accessesPerSec =
-            static_cast<double>(accesses) / parallel.seconds;
-        timings.push_back(parallel);
-    }
-
-    if (recorded)
-        std::remove(path.c_str());
-    for (const CaseTiming &t : timings) {
-        std::printf("%-14s %9lu accesses  %8.3f s  %12.0f acc/s  "
-                    "(wall%s)\n",
-                    t.name.c_str(),
-                    static_cast<unsigned long>(t.accesses), t.seconds,
-                    t.accessesPerSec,
-                    t.name == "parallel_replay"
-                        ? (", " + std::to_string(shards) + " shards")
-                              .c_str()
-                        : "");
-    }
-    return timings;
-}
-
-/**
  * Multi-core simulator throughput: the interleaved slot loop, the
  * context-switch path and the IPI shootdown fan-out on top of the same
  * per-access hot path. Tracked, not gated (no baseline entry): the mc
@@ -550,7 +446,6 @@ main(int argc, char **argv)
     bool quick = false;
     bool sweepMode = false;
     unsigned reps = 0;
-    unsigned replayShards = 0;
     std::string baselinePath;
     std::string only;
     std::string tracePath;
@@ -561,9 +456,6 @@ main(int argc, char **argv)
             sweepMode = true;
         } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
             reps = static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--parallel-replay") == 0 &&
-                   i + 1 < argc) {
-            replayShards = static_cast<unsigned>(std::atoi(argv[++i]));
         } else if (std::strcmp(argv[i], "--only") == 0 && i + 1 < argc) {
             only = argv[++i];
         } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
@@ -574,8 +466,7 @@ main(int argc, char **argv)
         } else {
             std::fprintf(stderr,
                          "usage: %s [--quick] [--reps N] [--only CASE] "
-                         "[--baseline FILE] [--sweep] [--trace FILE] "
-                         "[--parallel-replay N]\n",
+                         "[--baseline FILE] [--sweep] [--trace FILE]\n",
                          argv[0]);
             return 2;
         }
@@ -696,14 +587,6 @@ main(int argc, char **argv)
             if (only.empty() || timing.name == only)
                 timings.push_back(timing);
         }
-    }
-
-    if (replayShards > 0 && only.empty()) {
-        // Dynamic --trace inputs are rejected by runParallelReplay
-        // itself; generator specs are recorded to a scratch trace.
-        for (CaseTiming &timing :
-             timeParallelReplay(spec, quick, reps, replayShards))
-            timings.push_back(timing);
     }
 
     if (sweepMode && only.empty()) {

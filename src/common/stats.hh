@@ -31,10 +31,9 @@ namespace asap
  * 128 bits (a 64-bit sample squared cannot overflow a u128 until ~2^64
  * samples of 2^32, far beyond any run) — so merge() is *associative
  * and bit-for-bit equal to serial accumulation* regardless of how
- * samples are partitioned across shards (parallel replay) or cells
- * (sweep aggregation). A naive float pooled-variance merge would not
- * be; that exactness is what the parallel-replay equivalence tests
- * pin.
+ * samples are partitioned across runs (the multi-core model sums its
+ * tenants this way). A naive float pooled-variance merge would not be;
+ * that exactness is what the SampleStatMerge tests pin.
  */
 class SampleStat
 {
@@ -59,7 +58,7 @@ class SampleStat
         max_ = 0;
     }
 
-    /** Fold another accumulator in (cross-cell / cross-shard
+    /** Fold another accumulator in (cross-run / cross-tenant
      *  aggregation). Exact: every field is an integer sum or a
      *  min/max, so merge order cannot change the result. */
     void

@@ -444,8 +444,6 @@ MultiCoreSimulator::run(const RunConfig &config)
 {
     fatal_if(ran_, "MultiCoreSimulator::run is one-shot");
     fatal_if(tenants_.empty(), "no tenants registered");
-    fatal_if(config.measureSeek,
-             "parallel-replay seeking is a serial-Simulator feature");
 
     ran_ = true;
     const double runStart = obs::wallSeconds();

@@ -2,7 +2,7 @@
  * @file
  * Multi-core machine model: N tenant processes scheduled onto M cores.
  *
- * Decomposition (ROADMAP item 1): each *core* owns the private
+ * Decomposition: each *core* owns the private
  * hardware a context switch cannot swap out — L1/L2 caches, MSHRs and
  * the two-level TLB hierarchy — over one *shared* LLC (and DRAM
  * latency). Each *tenant* owns OS-side state (its System: page

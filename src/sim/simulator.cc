@@ -42,9 +42,8 @@ RunStats::merge(const RunStats &other)
     appAsap.merge(other.appAsap);
     hostAsap.merge(other.hostAsap);
 
-    // Parallel replay rejects dynamic traces, so in that use these are
-    // all zero — but merge stays total so any future aggregation can
-    // rely on it.
+    // Nonzero whenever a merged run churned (mc's per-tenant
+    // aggregate sums churning tenants).
     dyn.merge(other.dyn);
 
     // Counter snapshots add positionally: identically configured
@@ -311,15 +310,6 @@ Simulator::run(const RunConfig &config)
     const double phaseStart = obs::wallSeconds();
     stream.advance(machine_, now, config.warmupAccesses);
     stats.profile.warmupSec = obs::wallSeconds() - phaseStart;
-
-    // Parallel replay: a shard measures its slice of the stream. The
-    // warmup prefix ran as usual (identical machine state across
-    // shards); reposition the stored stream at the slice start. With
-    // measureSkip 0 (one shard) the seek is positionally a no-op and
-    // the run is bit-identical to a plain serial one — the equivalence
-    // tests/test_parallel.cc pins.
-    if (config.measureSeek)
-        workload_.seekTo(config.warmupAccesses + config.measureSkip);
 
     // Epoch chunking (see attachTimeline): every workload's nextBatch
     // draws addresses one at a time from its generation core, so

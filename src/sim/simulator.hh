@@ -59,16 +59,6 @@ struct RunConfig
     /** Ideal-TLB run: no misses, no walks (Table 6 methodology). */
     bool perfectTlb = false;
     std::uint64_t seed = 7;
-
-    /**
-     * Parallel replay (src/sim/parallel_replay.hh): reposition a
-     * seekable workload's address stream to stored access
-     * warmupAccesses + measureSkip between the warmup and measure
-     * phases, so a shard measures its slice of the stream after the
-     * shared warmup prefix. Requires Workload::seekable().
-     */
-    bool measureSeek = false;
-    std::uint64_t measureSkip = 0;
 };
 
 /** Lifetime counters of one ASAP engine over a run (incl. warmup). */
@@ -94,7 +84,7 @@ struct AsapEngineStats
         return s;
     }
 
-    /** Fold another engine's counters in (parallel-replay merge). */
+    /** Fold another engine's counters in. */
     void
     merge(const AsapEngineStats &other)
     {
@@ -184,15 +174,15 @@ struct RunStats
     }
 
     /**
-     * Fold another run's statistics in (parallel-replay shard merge,
-     * src/sim/parallel_replay.hh). Every aggregate here is a sum of
+     * Fold another run's statistics in. Every aggregate here is a sum of
      * per-access contributions, so merging is exact and associative:
      * counts/cycles add, SampleStat/LevelDistribution/obs::Histogram
      * merge bucket- and moment-wise, and the registered counter
      * snapshots — identical name lists for identically configured
      * machines — add positionally. The wall-clock self-profile is NOT
-     * merged (per-shard wall times overlap); callers time the whole
-     * parallel run themselves.
+     * merged (merged runs' wall times overlap); callers time the whole
+     * run themselves. Used by mc's per-tenant aggregate and by
+     * simbench's tenant_churn check, which re-merges the tenants.
      */
     void merge(const RunStats &other);
 };

@@ -48,12 +48,6 @@ fuzzTraceFileOneInput(const std::uint8_t *data, std::size_t size)
             std::min(file.header().accessCount, maxFuzzAccesses);
         for (std::uint64_t i = 0; i < accesses; ++i)
             cursor.next();
-        // Seeks take a different path through the chunk index than
-        // sequential decode (and re-enter cached chunks).
-        if (file.header().accessCount > 0) {
-            cursor.seekTo(file.header().accessCount - 1);
-            cursor.next();
-        }
     } catch (const StatusError &) {
         // Rejected input: the expected outcome for most mutations.
     } catch (const std::bad_alloc &) {

@@ -1,7 +1,7 @@
 /**
  * @file
- * gem5 protobuf packet-trace importer (the ROADMAP's explicit
- * future-work slot in the TraceImporter registry).
+ * gem5 protobuf packet-trace importer, registered with the other
+ * formats in the TraceImporter registry.
  *
  * gem5's CommMonitor / MemTraceProbe write packet traces as:
  *

@@ -204,7 +204,6 @@ TraceFile::loadV2(ByteReader &in)
         chunk.accesses = index.get32();
         chunk.codec = index.get8();
         chunk.firstVa = index.get64();
-        chunk.startAccess = total;
 
         // Chunks are written back to back; enforcing that here means a
         // corrupt index cannot alias chunks or point into the header.
@@ -283,7 +282,6 @@ TraceFile::loadV2(ByteReader &in)
 void
 TraceCursor::rewind()
 {
-    position_ = 0;
     if (file_.version() == trc1Version) {
         cursor_ = file_.streamBegin();
         end_ = file_.streamEnd();
@@ -375,38 +373,6 @@ TraceCursor::loadChunk(std::size_t idx)
     prevVa_ = 0;
     remaining_ = chunk.accesses;
     chunkIdx_ = idx;
-}
-
-void
-TraceCursor::seekTo(std::uint64_t index)
-{
-    const std::uint64_t total = file_.header().accessCount;
-    const std::uint64_t target = index % total;
-
-    if (file_.version() == trc1Version) {
-        // No index to seek through: decode forward from the start.
-        rewind();
-        for (std::uint64_t k = 0; k < target; ++k)
-            next();
-        position_ = index;
-        return;
-    }
-
-    const auto &chunks = file_.chunks();
-    // Last chunk whose startAccess <= target.
-    std::size_t lo = 0, hi = chunks.size() - 1;
-    while (lo < hi) {
-        const std::size_t mid = (lo + hi + 1) / 2;
-        if (chunks[mid].startAccess <= target)
-            lo = mid;
-        else
-            hi = mid - 1;
-    }
-    loadChunk(lo);
-    position_ = chunks[lo].startAccess;
-    for (std::uint64_t k = chunks[lo].startAccess; k < target; ++k)
-        next();
-    position_ = index;
 }
 
 } // namespace asap

@@ -36,11 +36,11 @@
  *   magic     "ASAPEND2" (8 bytes)
  *
  * Each chunk's delta stream re-bases from VA 0 (its first varint holds
- * the full first address), so chunks decode independently: seeks land
- * on any chunk, and sampled traces — which omit whole chunks — replay
- * without desyncing. Sampled traces carry representedAccesses >
- * accessCount; RunStats measured over the sampled stream can be scaled
- * by representedAccesses/accessCount.
+ * the full first address), so chunks decode independently and sampled
+ * traces — which omit whole chunks — replay without desyncing.
+ * Sampled traces carry representedAccesses > accessCount; RunStats
+ * measured over the sampled stream can be scaled by
+ * representedAccesses/accessCount.
  */
 
 #ifndef ASAP_TRACE_TRACE_FILE_HH
@@ -93,9 +93,6 @@ struct TraceChunk
     std::uint32_t accesses = 0;     ///< addresses in this chunk
     std::uint8_t codec = chunkCodecRaw;
     VirtAddr firstVa = 0;           ///< first address (metadata/stats)
-    /** Cumulative access index of this chunk's first address within the
-     *  stored stream (computed at load). */
-    std::uint64_t startAccess = 0;
 };
 
 /**
@@ -198,7 +195,6 @@ class TraceCursor
         if (remaining_ == 0)
             advanceBlock();
         --remaining_;
-        ++position_;
         prevVa_ = static_cast<VirtAddr>(
             static_cast<std::int64_t>(prevVa_) +
             unzigzag(decodeVarint(cursor_, end_, blockLabel_.c_str(),
@@ -206,22 +202,11 @@ class TraceCursor
         return prevVa_;
     }
 
-    /**
-     * Position the cursor so the next next() returns stored access
-     * @p index (taken modulo the stored access count). v2 seeks through
-     * the chunk index; v1 decodes forward from the nearest preceding
-     * position.
-     */
-    void seekTo(std::uint64_t index);
-
-    /** Stored-access index the next next() will return (not wrapped). */
-    std::uint64_t position() const { return position_; }
-
   private:
     void advanceBlock();
     void loadChunk(std::size_t idx);
 
-    /** Inflated chunks kept for re-use (wrap, seeks) up to this total;
+    /** Inflated chunks kept for re-use (wrap) up to this total;
      *  past it, later chunks inflate into the scratch buffer on every
      *  visit. Caching keeps looping replays as fast as v1 decode. */
     static constexpr std::uint64_t maxCachedBytes = 256ull << 20;
@@ -238,7 +223,6 @@ class TraceCursor
     VirtAddr prevVa_ = 0;
     std::uint64_t remaining_ = 0;   ///< accesses left in current block
     std::size_t chunkIdx_ = 0;      ///< v2: current chunk
-    std::uint64_t position_ = 0;
     std::vector<std::uint8_t> scratch_;   ///< v2: past-budget inflation
     std::vector<std::vector<std::uint8_t>> cache_;  ///< v2: per chunk
     std::uint64_t cachedBytes_ = 0;

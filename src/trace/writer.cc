@@ -101,7 +101,7 @@ Trc2Writer::add(VirtAddr va)
     if (chunkNumber % options_.sampleInterval == 0) {
         if (chunkBufAccesses_ == 0) {
             // Chunks are self-contained: the first delta re-bases from
-            // VA 0 so any chunk decodes (and seeks) independently.
+            // VA 0 so any chunk decodes independently.
             prevVa_ = 0;
             chunkFirstVa_ = va;
         }
@@ -131,7 +131,6 @@ Trc2Writer::flushChunk()
     chunk.accesses = chunkBufAccesses_;
     chunk.codec = chunkCodecRaw;
     chunk.firstVa = chunkFirstVa_;
-    chunk.startAccess = 0;   // reader recomputes cumulative indices
 
 #ifdef ASAP_HAVE_ZLIB
     std::vector<Bytef> deflated;

@@ -29,8 +29,8 @@ namespace asap
 
 struct Trc2Options
 {
-    /** Addresses per chunk. Smaller chunks seek finer and sample finer
-     *  but carry more index overhead and re-base more often. */
+    /** Addresses per chunk. Smaller chunks sample finer but carry
+     *  more index overhead and re-base more often. */
     std::uint32_t chunkAccesses = 1u << 16;
     /** Deflate chunks that shrink (no-op when built without zlib). */
     bool compress = true;

@@ -4,7 +4,7 @@
  * pairs any generator's address stream with a deterministic OS-event
  * stream (src/dyn/os_events.hh), modeling the long-uptime behaviours of
  * production servers the static setup-then-run model cannot express
- * (paper Section 3.7, ROADMAP scenario diversity):
+ * (paper Section 3.7):
  *
  *  - "server"  : a steady-state server. Periodic bursts free a slice of
  *    the dataset with madvise(DONTNEED) and refault part of it (slab /

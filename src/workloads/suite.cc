@@ -10,8 +10,10 @@
 namespace asap
 {
 
-// Parameter rationale (see DESIGN.md Section 2 for the substitution
-// argument):
+// Parameter rationale. The generators stand in for the paper's traces
+// only structurally (the model sees addresses alone; see
+// workloads/workload.hh), so each knob sets one property it is
+// sensitive to:
 //  - residentPages sets the TLB/PT pressure: pages * 8B is the PL1
 //    footprint competing for the caches.
 //  - near/seq fractions set spatial locality: high for mcf/canneal

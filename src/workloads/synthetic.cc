@@ -11,13 +11,6 @@
 namespace asap
 {
 
-void
-Workload::seekTo(std::uint64_t index)
-{
-    panic("workload '%s' is not seekable (seekTo(%llu))", name().c_str(),
-          static_cast<unsigned long long>(index));
-}
-
 std::uint64_t
 SyntheticWorkload::probThreshold(double p)
 {

@@ -120,21 +120,6 @@ class TraceReplayWorkload : public Workload
             out[i] = cursor_.next();
     }
 
-    /**
-     * A stored stream can be repositioned in O(1) — except when the
-     * trace carries OS events, whose side effects are a function of
-     * the *whole* stream prefix; a seek would desynchronize them.
-     */
-    bool seekable() const override { return events_.empty(); }
-
-    void
-    seekTo(std::uint64_t index) override
-    {
-        panic_if(!events_.empty(),
-                 "seek in a dynamic (OS-event) trace replay");
-        cursor_.seekTo(index);
-    }
-
     /** The recorded OS-event stream, if the trace carries one: dynamic
      *  runs replay their mid-run churn bit-identically. */
     const OsEventStream *

@@ -5,9 +5,11 @@
  *
  * The paper drives its simulator with DynamoRIO traces of real
  * applications; this reproduction substitutes generators that match the
- * *structural* properties the memory-system model is sensitive to
- * (DESIGN.md Section 2): footprint, VMA layout, sequential/spatial/
- * temporal locality mix, and key-popularity skew.
+ * *structural* properties the memory-system model is sensitive to:
+ * footprint, VMA layout, sequential/spatial/temporal locality mix, and
+ * key-popularity skew. The model sees only the address stream, so an
+ * access's cost depends on which pages and lines it touches and when,
+ * not on the code that issued it.
  */
 
 #ifndef ASAP_WORKLOADS_WORKLOAD_HH
@@ -56,21 +58,6 @@ class Workload
         for (std::size_t i = 0; i < count; ++i)
             out[i] = next(rng);
     }
-
-    /**
-     * Can the address stream be repositioned in O(1) — i.e. is this a
-     * stored stream (trace replay) rather than a live generator whose
-     * position is its RNG state? Gates the parallel-replay sharding
-     * mode (src/sim/parallel_replay.hh).
-     */
-    virtual bool seekable() const { return false; }
-
-    /**
-     * Reposition the stream so the next next()/nextBatch() address is
-     * stored access @p index (modulo the stored length). Only valid
-     * when seekable(); the default is an internal error.
-     */
-    virtual void seekTo(std::uint64_t index);
 
     /**
      * The workload's OS-event stream (src/dyn/os_events.hh), valid

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/mem_level.hh"
@@ -238,6 +239,92 @@ TEST(SampleStat, Reset)
     stat.reset();
     EXPECT_EQ(stat.count(), 0u);
     EXPECT_EQ(stat.sum(), 0u);
+}
+
+namespace
+{
+
+void
+expectSampleStatEq(const SampleStat &got, const SampleStat &want)
+{
+    EXPECT_EQ(got.count(), want.count());
+    EXPECT_EQ(got.sum(), want.sum());
+    EXPECT_EQ(got.min(), want.min());
+    EXPECT_EQ(got.max(), want.max());
+    EXPECT_EQ(got.sumSquaresHi(), want.sumSquaresHi());
+    EXPECT_EQ(got.sumSquaresLo(), want.sumSquaresLo());
+}
+
+} // namespace
+
+/**
+ * SampleStat::merge must equal serial accumulation bit-for-bit for
+ * ANY partition of the samples — the property mc's per-tenant
+ * aggregate relies on. The second moment is exact 128-bit integer
+ * arithmetic, so this holds with no tolerance.
+ */
+TEST(SampleStatMerge, MatchesSerialForUnequalPartitions)
+{
+    // Values with spread (squares overflow 32 bits) and duplicates.
+    std::vector<std::uint64_t> samples;
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (int i = 0; i < 1000; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        samples.push_back(x % 5'000'000);
+    }
+
+    SampleStat serial;
+    for (std::uint64_t v : samples)
+        serial.sample(v);
+
+    for (std::size_t shards : {2u, 3u, 7u}) {
+        SCOPED_TRACE(shards);
+        // Deliberately unequal slices: shard k gets [k*n/N, (k+1)*n/N).
+        std::vector<SampleStat> parts(shards);
+        for (std::size_t k = 0; k < shards; ++k) {
+            const std::size_t begin = samples.size() * k / shards;
+            const std::size_t end = samples.size() * (k + 1) / shards;
+            for (std::size_t i = begin; i < end; ++i)
+                parts[k].sample(samples[i]);
+        }
+
+        SampleStat merged;
+        for (const SampleStat &part : parts)
+            merged.merge(part);
+        expectSampleStatEq(merged, serial);
+        EXPECT_DOUBLE_EQ(merged.variance(), serial.variance());
+        EXPECT_DOUBLE_EQ(merged.stddev(), serial.stddev());
+
+        // Associativity: ((a+b)+c) == (a+(b+c)) for three-way splits.
+        if (shards == 3) {
+            SampleStat left = parts[0];
+            left.merge(parts[1]);
+            left.merge(parts[2]);
+            SampleStat right = parts[1];
+            right.merge(parts[2]);
+            SampleStat first = parts[0];
+            first.merge(right);
+            expectSampleStatEq(first, left);
+        }
+    }
+}
+
+/** The second moment survives the journal's u64-halves round trip. */
+TEST(SampleStatMerge, RestoreRoundTripsSecondMoment)
+{
+    SampleStat stat;
+    // Large samples push sumSquares past 64 bits.
+    for (int i = 0; i < 10; ++i)
+        stat.sample((std::uint64_t{1} << 33) + i);
+    EXPECT_GT(stat.sumSquaresHi(), 0u);
+
+    SampleStat restored;
+    restored.restore(stat.count(), stat.sum(), stat.min(), stat.max(),
+                     stat.sumSquaresHi(), stat.sumSquaresLo());
+    expectSampleStatEq(restored, stat);
+    EXPECT_DOUBLE_EQ(restored.variance(), stat.variance());
 }
 
 TEST(Histogram, BucketsAndOverflow)

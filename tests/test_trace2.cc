@@ -3,8 +3,8 @@
  * ASAPTRC2 container tests: v1 -> v2 conversion identity and replay
  * equivalence (the acceptance bar: bit-identical RunStats across both
  * containers, in more than one environment), direct v2 recording,
- * chunk-seek correctness, sampled-stream mode, and corruption handling
- * of the chunk index / footer / compressed payloads.
+ * sampled-stream mode, and corruption handling of the chunk index /
+ * footer / compressed payloads.
  */
 
 #include <cstdio>
@@ -189,42 +189,6 @@ TEST(Trc2Convert, DirectV2RecordMatchesV1)
     const TraceFile file(v2.path());
     EXPECT_EQ(file.version(), 2u);
     EXPECT_EQ(file.chunks().size(), (3'000 + 776) / 777u);
-}
-
-/** Seeking through the chunk index lands exactly where sequential
- *  decoding does, at boundaries, mid-chunk, the last access and after
- *  wrap-around. */
-TEST(Trc2Convert, ChunkSeek)
-{
-    const TempTrace v1("trc2_seek.trc1");
-    const TempTrace v2("trc2_seek.trc2");
-    constexpr std::uint64_t accesses = 5'000;
-    recordTrace(smallSpec(), v1.path(), 13, accesses);
-    Trc2Options options;
-    options.chunkAccesses = 256;
-    convertToV2(v1.path(), v2.path(), options);
-
-    const std::vector<VirtAddr> reference = decodeAll(v1.path());
-    const TraceFile file(v2.path());
-    ASSERT_EQ(file.chunks().size(), (accesses + 255) / 256);
-    TraceCursor cursor(file);
-    const std::uint64_t positions[] = {0,    1,    255,  256, 257,
-                                       1000, 2559, 2560, accesses - 1,
-                                       accesses + 300};
-    for (const std::uint64_t pos : positions) {
-        cursor.seekTo(pos);
-        EXPECT_EQ(cursor.next(), reference[pos % accesses])
-            << "seek to " << pos;
-        // And the stream continues correctly from there.
-        EXPECT_EQ(cursor.next(), reference[(pos + 1) % accesses])
-            << "decode after seek to " << pos;
-    }
-
-    // v1 cursors seek too (by decoding forward).
-    const TraceFile v1File(v1.path());
-    TraceCursor v1Cursor(v1File);
-    v1Cursor.seekTo(1234);
-    EXPECT_EQ(v1Cursor.next(), reference[1234]);
 }
 
 /** Sampled-stream mode stores exactly the 1-in-N chunks of the full
