@@ -7,7 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "common/interned.hh"
 #include "common/rng.hh"
 #include "common/set_assoc.hh"
 #include "mem/hierarchy.hh"
@@ -154,10 +153,9 @@ BENCHMARK(BM_PageWalk);
 
 /**
  * Machine construction cost — the per-cell overhead every sweep pays
- * before its first simulated access. Regression guard for the
- * MachineConfig interning: the config's five level names are pooled
- * pointers, so constructing (and copying the config into) a Machine
- * performs no name-string heap work.
+ * before its first simulated access. The config's five level names are
+ * string literals, so constructing (and copying the config into) a
+ * Machine performs no name-string heap work.
  */
 static void
 BM_MachineConstruction(benchmark::State &state)
@@ -175,7 +173,7 @@ BM_MachineConstruction(benchmark::State &state)
 BENCHMARK(BM_MachineConstruction);
 
 /** Copying a MachineConfig (what SweepSpec::add and Machine do per
- *  cell): with interned names this is a flat member-wise copy. */
+ *  cell): a flat member-wise copy, the names being literals. */
 static void
 BM_MachineConfigCopy(benchmark::State &state)
 {
@@ -186,14 +184,5 @@ BM_MachineConfigCopy(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MachineConfigCopy);
-
-/** Interning itself (hits the pool's fast path after the first call). */
-static void
-BM_InternName(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(internName("L2-STLB"));
-}
-BENCHMARK(BM_InternName);
 
 BENCHMARK_MAIN();

@@ -9,7 +9,7 @@
  *
  * Usage:
  *   perf_hotpath [--quick] [--reps N] [--only CASE] [--baseline FILE]
- *                [--sweep] [--trace FILE]
+ *                [--trace FILE]
  *
  * --quick     shrink footprints and access counts (CI mode; implies
  *             ASAP_QUICK=1 for the rest of the stack).
@@ -18,13 +18,6 @@
  * --only      run just the named case (profiling workflows).
  * --baseline  compare against a previously emitted BENCH_hotpath.json
  *             and exit non-zero if any case regresses by more than 20%.
- * --sweep     additionally time a full fig8-style sweep (suite x
- *             {Baseline,P1,P1+P2} x {iso,coloc}) end to end, wall-clock,
- *             through the parallel SweepRunner — the composed
- *             sweep-parallelism x per-cell-speed datapoint (case
- *             "fig8_sweep" in BENCH_hotpath.json; ASAP_JOBS sets the
- *             worker count). Unlike the per-case CPU-time metric, this
- *             one is wall time: overlap across workers is the point.
  * --trace     run the single-case benchmarks from a recorded trace file
  *             (see tools/trace_record) instead of the built-in
  *             generator workload — replay decoding is cheaper than
@@ -33,12 +26,10 @@
  *             the same trace.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,14 +37,9 @@
 #include "core/asap_engine.hh"
 #include "exp/json.hh"
 #include "exp/result_table.hh"
-#include "exp/sweep.hh"
-#include "mc/multicore.hh"
 #include "obs/profile.hh"
 #include "sim/environment.hh"
-#include "trace/convert.hh"
-#include "workloads/dynamic.hh"
 #include "workloads/suite.hh"
-#include "workloads/trace.hh"
 
 using namespace asap;
 using namespace asap::exp;
@@ -67,11 +53,10 @@ struct BenchCase
     EnvironmentOptions env;
     MachineConfig machine;
     bool colocation = false;
-    /** Non-empty: attach this OS-dynamics profile to the workload. */
-    std::string dynProfile;
 };
 
-/** The representative hot-path configurations. */
+/** The representative hot-path configurations, each gated by the floor
+ *  baseline. */
 std::vector<BenchCase>
 benchCases()
 {
@@ -104,17 +89,6 @@ benchCases()
     coloc.colocation = true;
     cases.push_back(coloc);
 
-    // Dynamic run: tenant churn + madvise/refault + region lifecycle
-    // riding the same stream (src/dyn). Tracks the cost of the event
-    // machinery and the teardown/invalidation paths; not in the floor
-    // baseline (the static cases gate static-path regressions).
-    BenchCase churn;
-    churn.name = "churn";
-    churn.env.asapPlacement = true;
-    churn.machine = makeMachineConfig(AsapConfig::p1p2());
-    churn.dynProfile = "tenants";
-    cases.push_back(churn);
-
     return cases;
 }
 
@@ -122,15 +96,10 @@ struct CaseTiming
 {
     std::string name;
     std::uint64_t accesses = 0;     ///< simulated accesses per rep
-    double seconds = 0.0;           ///< best rep CPU (or wall) time
+    double seconds = 0.0;           ///< best rep CPU time
     double accessesPerSec = 0.0;
     double avgWalkLatency = 0.0;    ///< sanity: model output, not speed
-    /** Multi-threaded cases are timed wall-clock: CPU time sums every
-     *  worker thread, which would *inflate* acc/s by the thread count
-     *  and make parallel modes look faster than they ran. */
-    bool wallClock = false;
-    /** The best rep's run self-profile (obs/profile.hh); wallSec == 0
-     *  for cases that bypass Environment::run (trace decode, sweep). */
+    /** The best rep's run self-profile (obs/profile.hh). */
     obs::SelfProfile profile;
 };
 
@@ -153,234 +122,29 @@ toJson(const std::vector<CaseTiming> &timings, bool quick)
 {
     Json doc = Json::object();
     doc.set("benchmark", "perf_hotpath");
-    doc.set("metric", "simulated accesses per CPU second (best rep); "
-                      "per-case \"clock\" overrides to wall time for "
-                      "multi-threaded cases");
+    doc.set("metric", "simulated accesses per CPU second (best rep)");
     doc.set("quick", quick);
     Json cases = Json::array();
     for (const CaseTiming &t : timings) {
         Json c = Json::object();
         c.set("name", t.name);
-        c.set("clock", t.wallClock ? "wall" : "cpu");
         c.set("accesses", t.accesses);
         c.set("seconds", t.seconds);
         c.set("accessesPerSec", t.accessesPerSec);
         c.set("avgWalkLatency", t.avgWalkLatency);
-        if (t.profile.wallSec > 0.0) {
-            Json profile = Json::object();
-            profile.set("envSetupSec", t.profile.envSetupSec);
-            profile.set("warmupSec", t.profile.warmupSec);
-            profile.set("measureSec", t.profile.measureSec);
-            profile.set("wallSec", t.profile.wallSec);
-            profile.set("accessesPerSec", t.profile.accessesPerSec);
-            profile.set("peakRssBytes",
-                        static_cast<double>(t.profile.peakRssBytes));
-            c.set("profile", std::move(profile));
-        }
+        Json profile = Json::object();
+        profile.set("envSetupSec", t.profile.envSetupSec);
+        profile.set("warmupSec", t.profile.warmupSec);
+        profile.set("measureSec", t.profile.measureSec);
+        profile.set("wallSec", t.profile.wallSec);
+        profile.set("accessesPerSec", t.profile.accessesPerSec);
+        profile.set("peakRssBytes",
+                    static_cast<double>(t.profile.peakRssBytes));
+        c.set("profile", std::move(profile));
         cases.push(std::move(c));
     }
     doc.set("cases", std::move(cases));
     return doc;
-}
-
-/**
- * Time a fig8-style sweep end to end (environment builds + all cells)
- * through the parallel SweepRunner, wall-clock. Composes with the
- * per-cell numbers: a per-cell speedup that does not show up here was
- * eaten by sweep-level serialization.
- */
-CaseTiming
-timeFig8Sweep(bool quick)
-{
-    using Clock = std::chrono::steady_clock;
-
-    std::vector<WorkloadSpec> specs;
-    if (quick) {
-        // Two structurally distinct workloads keep the quick gate fast
-        // while still exercising multi-environment parallelism.
-        specs = {scaledDown(mcfSpec(), 4), scaledDown(mc80Spec(), 4)};
-    } else {
-        specs = standardSuite();
-    }
-
-    RunConfig run;
-    run.corunnerPerAccess = 3;
-    run.warmupAccesses = quick ? quickWarmupAccesses : 150'000;
-    run.measureAccesses = quick ? quickMeasureAccesses : 600'000;
-
-    SweepSpec sweep("perf_fig8_sweep", /*baseSeed=*/41);
-    for (const WorkloadSpec &spec : specs) {
-        EnvironmentOptions baseOptions;
-        EnvironmentOptions asapOptions;
-        asapOptions.asapPlacement = true;
-        for (const bool colocation : {false, true}) {
-            run.colocation = colocation;
-            const std::string row =
-                spec.name + (colocation ? "/coloc" : "");
-            sweep.add(spec, baseOptions, makeMachineConfig(), run, row,
-                      "Baseline");
-            sweep.add(spec, asapOptions,
-                      makeMachineConfig(AsapConfig::p1()), run, row,
-                      "P1");
-            sweep.add(spec, asapOptions,
-                      makeMachineConfig(AsapConfig::p1p2()), run, row,
-                      "P1+P2");
-        }
-    }
-
-    const auto start = Clock::now();
-    const ResultSet results = SweepRunner().run(sweep);
-    const std::chrono::duration<double> elapsed = Clock::now() - start;
-
-    CaseTiming timing;
-    timing.name = "fig8_sweep";
-    timing.wallClock = true;
-    timing.accesses = sweep.cells().size() *
-                      (run.warmupAccesses + run.measureAccesses);
-    timing.seconds = elapsed.count();
-    timing.accessesPerSec =
-        static_cast<double>(timing.accesses) / timing.seconds;
-    timing.avgWalkLatency =
-        results.cells().front().stats.avgWalkLatency();
-    return timing;
-}
-
-/**
- * Trace-decode throughput: how fast TraceCursor turns container bytes
- * back into addresses, for both the monolithic v1 stream and the
- * chunked/compressed v2 container. Decode speed bounds every
- * trace-driven experiment, and v2 must not decode slower than v1 — the
- * acceptance bar for the chunked format (chunk re-basing and inflate
- * are amortized over chunkAccesses addresses).
- */
-std::vector<CaseTiming>
-timeTraceDecode(bool quick, unsigned reps)
-{
-    const std::string v1Path = "perf_hotpath_decode.trc1";
-    const std::string v2Path = "perf_hotpath_decode.trc2";
-
-    // A small structured-locality stream records fast and is
-    // representative of the delta mix; decode throughput does not
-    // depend on the footprint.
-    WorkloadSpec spec = mcfSpec();
-    spec.name = "decode";
-    spec.residentPages = 20'000;
-    spec.windowPages = 2'000;
-    spec.churnOps = 5'000;
-    const std::uint64_t recorded = quick ? 150'000 : 600'000;
-    recordTrace(spec, v1Path, /*seed=*/7, recorded);
-    convertToV2(v1Path, v2Path, Trc2Options{});
-
-    // Decode several laps of the stream (the cursor wraps), summing the
-    // addresses so the loop cannot be optimized away. A multiple of the
-    // batch size, so the drain loop below never over-subtracts.
-    const std::uint64_t decodes = 1024 * (quick ? 3'000 : 30'000);
-    std::vector<CaseTiming> timings;
-    for (const std::string &path : {v1Path, v2Path}) {
-        TraceReplayWorkload replay(path);
-        Rng unused(1);
-        VirtAddr batch[1024];
-        std::uint64_t checksum = 0;
-
-        CaseTiming timing;
-        timing.name = path == v1Path ? "trace_decode_v1"
-                                     : "trace_decode_v2";
-        timing.accesses = decodes;
-        timing.seconds = 1e300;
-        for (unsigned rep = 0; rep < reps; ++rep) {
-            replay.reset(unused);
-            const double start = cpuSeconds();
-            for (std::uint64_t left = decodes; left > 0; left -= 1024) {
-                replay.nextBatch(unused, batch, 1024);
-                checksum += batch[0] + batch[1023];
-            }
-            const double secs = cpuSeconds() - start;
-            if (secs < timing.seconds)
-                timing.seconds = secs;
-        }
-        timing.accessesPerSec =
-            static_cast<double>(decodes) / timing.seconds;
-        timings.push_back(timing);
-        // Printing the checksum keeps the decode loop observable.
-        std::printf("%-14s %9lu decodes   %8.3f s  %12.0f acc/s  "
-                    "(sum %016llx)\n",
-                    timing.name.c_str(),
-                    static_cast<unsigned long>(decodes), timing.seconds,
-                    timing.accessesPerSec,
-                    static_cast<unsigned long long>(checksum));
-    }
-
-    std::remove(v1Path.c_str());
-    std::remove(v2Path.c_str());
-    return timings;
-}
-
-/**
- * Multi-core simulator throughput: the interleaved slot loop, the
- * context-switch path and the IPI shootdown fan-out on top of the same
- * per-access hot path. Tracked, not gated (no baseline entry): the mc
- * loop's cost profile is its own datapoint, and per-access overhead vs
- * the serial cases reads directly off the acc/s column. Per-tenant
- * footprints are kept moderate so mc_16tenant stays CI-sized; the
- * charged access count is the total across tenants.
- */
-CaseTiming
-timeMcCase(const std::string &name, unsigned cores, unsigned tenants,
-           bool quick, unsigned reps)
-{
-    WorkloadSpec spec = mcfSpec();
-    spec.name = name;
-    spec.residentPages = quick ? 20'000 : 60'000;
-    spec.windowPages = 4'000;
-    spec.churnOps = quick ? 5'000 : 20'000;
-    spec = withDynamics(spec, "tenants");
-
-    RunConfig run = defaultRunConfig(false);
-    run.warmupAccesses = quick ? 10'000 : 50'000;
-    run.measureAccesses = quick ? 40'000 : 200'000;
-
-    mc::McConfig mcConfig;
-    mcConfig.cores = cores;
-    const MachineConfig machine = makeMachineConfig(AsapConfig::p1p2());
-
-    struct Tenant
-    {
-        std::unique_ptr<System> system;
-        std::unique_ptr<Workload> workload;
-    };
-
-    CaseTiming timing;
-    timing.name = name;
-    timing.accesses =
-        tenants * (run.warmupAccesses + run.measureAccesses);
-    timing.seconds = 1e300;
-    for (unsigned rep = 0; rep < reps; ++rep) {
-        // An mc run is one-shot and mutates its tenant Systems:
-        // rebuild everything each rep, outside the timed window.
-        mc::MultiCoreSimulator sim(mcConfig, machine);
-        std::vector<Tenant> held;
-        held.reserve(tenants);
-        for (unsigned t = 0; t < tenants; ++t) {
-            Tenant tenant;
-            tenant.system = std::make_unique<System>(
-                makeSystemConfig(spec, EnvironmentOptions{}));
-            tenant.workload = makeWorkload(spec);
-            tenant.workload->setup(*tenant.system);
-            held.push_back(std::move(tenant));
-            sim.addTenant(*held.back().system,
-                          *held.back().workload);
-        }
-        const double start = cpuSeconds();
-        const mc::McResult result = sim.run(run);
-        const double secs = cpuSeconds() - start;
-        if (secs < timing.seconds) {
-            timing.seconds = secs;
-            timing.avgWalkLatency = result.aggregate.avgWalkLatency();
-        }
-    }
-    timing.accessesPerSec =
-        static_cast<double>(timing.accesses) / timing.seconds;
-    return timing;
 }
 
 /** @return exit status: non-zero when a case regressed >20%. */
@@ -444,7 +208,6 @@ int
 main(int argc, char **argv)
 {
     bool quick = false;
-    bool sweepMode = false;
     unsigned reps = 0;
     std::string baselinePath;
     std::string only;
@@ -452,8 +215,6 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0) {
             quick = true;
-        } else if (std::strcmp(argv[i], "--sweep") == 0) {
-            sweepMode = true;
         } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
             reps = static_cast<unsigned>(std::atoi(argv[++i]));
         } else if (std::strcmp(argv[i], "--only") == 0 && i + 1 < argc) {
@@ -466,7 +227,7 @@ main(int argc, char **argv)
         } else {
             std::fprintf(stderr,
                          "usage: %s [--quick] [--reps N] [--only CASE] "
-                         "[--baseline FILE] [--sweep] [--trace FILE]\n",
+                         "[--baseline FILE] [--trace FILE]\n",
                          argv[0]);
             return 2;
         }
@@ -508,14 +269,7 @@ main(int argc, char **argv)
     for (const BenchCase &bc : benchCases()) {
         if (!only.empty() && bc.name != only)
             continue;
-        WorkloadSpec caseSpec = spec;
-        if (!bc.dynProfile.empty()) {
-            if (!spec.tracePath.empty())
-                continue;   // replayed traces carry their own events
-            caseSpec = withDynamics(caseSpec, bc.dynProfile);
-        }
-        std::unique_ptr<Environment> env =
-            std::make_unique<Environment>(caseSpec, bc.env);
+        Environment env(spec, bc.env);
         RunConfig run = defaultRunConfig(bc.colocation);
         if (quick) {
             run.warmupAccesses = quickWarmupAccesses;
@@ -529,14 +283,8 @@ main(int argc, char **argv)
         timing.accesses = accesses;
         timing.seconds = 1e300;
         for (unsigned rep = 0; rep < reps; ++rep) {
-            // A dynamic run mutates its Environment (tenants linger,
-            // the heap grows, churn blocks drain): rebuild it so every
-            // rep times the same system state. Environment
-            // construction stays outside the timed window.
-            if (!bc.dynProfile.empty() && rep > 0)
-                env = std::make_unique<Environment>(caseSpec, bc.env);
             const double start = cpuSeconds();
-            const RunStats stats = env->run(bc.machine, run);
+            const RunStats stats = env.run(bc.machine, run);
             const double secs = cpuSeconds() - start;
             if (secs < timing.seconds) {
                 timing.seconds = secs;
@@ -552,51 +300,6 @@ main(int argc, char **argv)
                     timing.name.c_str(),
                     static_cast<unsigned long>(accesses), timing.seconds,
                     timing.accessesPerSec, timing.avgWalkLatency);
-    }
-
-    // Multi-core scheduler throughput (generator workloads only —
-    // replayed traces are single-stream by construction).
-    if (tracePath.empty()) {
-        struct McShape
-        {
-            const char *name;
-            unsigned cores, tenants;
-        };
-        for (const McShape &shape :
-             {McShape{"mc_2core", 2, 4}, McShape{"mc_16tenant", 4, 16}}) {
-            if (!only.empty() && only != shape.name)
-                continue;
-            const CaseTiming timing = timeMcCase(
-                shape.name, shape.cores, shape.tenants, quick, reps);
-            timings.push_back(timing);
-            std::printf("%-14s %9lu accesses  %8.3f s  %12.0f acc/s  "
-                        "(walk %.1f cyc, %ux%u)\n",
-                        timing.name.c_str(),
-                        static_cast<unsigned long>(timing.accesses),
-                        timing.seconds, timing.accessesPerSec,
-                        timing.avgWalkLatency, shape.cores,
-                        shape.tenants);
-        }
-    }
-
-    // Trace-decode throughput rides along unless a single unrelated
-    // case was requested (it has no baseline entry, so it is tracked,
-    // not gated).
-    if (only.empty() || only.rfind("trace_decode", 0) == 0) {
-        for (CaseTiming &timing : timeTraceDecode(quick, reps)) {
-            if (only.empty() || timing.name == only)
-                timings.push_back(timing);
-        }
-    }
-
-    if (sweepMode && only.empty()) {
-        const CaseTiming timing = timeFig8Sweep(quick);
-        timings.push_back(timing);
-        std::printf("%-14s %9lu accesses  %8.3f s  %12.0f acc/s  "
-                    "(sweep wall-clock)\n",
-                    timing.name.c_str(),
-                    static_cast<unsigned long>(timing.accesses),
-                    timing.seconds, timing.accessesPerSec);
     }
 
     writeResultArtifact("BENCH_hotpath.json",

@@ -12,48 +12,50 @@ namespace asap
 namespace
 {
 
-/** OsDynStats' fields in declaration order, with their counter names:
- *  the one list behind merge() and appendCounters(). */
-struct DynField
-{
-    const char *name;
-    std::uint64_t OsDynStats::*field;
-};
-
-constexpr DynField dynFields[] = {
-    {"dyn.events", &OsDynStats::events},
-    {"dyn.mmaps", &OsDynStats::mmaps},
-    {"dyn.munmaps", &OsDynStats::munmaps},
-    {"dyn.minorFaults", &OsDynStats::minorFaults},
-    {"dyn.madviseFrees", &OsDynStats::madviseFrees},
-    {"dyn.extends", &OsDynStats::extends},
-    {"dyn.churnReleases", &OsDynStats::churnReleases},
-    {"dyn.dataPagesFreed", &OsDynStats::dataPagesFreed},
-    {"dyn.ptNodesFreed", &OsDynStats::ptNodesFreed},
-    {"dyn.churnFramesReleased", &OsDynStats::churnFramesReleased},
-    {"dyn.tlbInvalidated", &OsDynStats::tlbInvalidated},
-    {"dyn.pwcInvalidated", &OsDynStats::pwcInvalidated},
-    {"dyn.regionGrowthHoles", &OsDynStats::regionGrowthHoles},
-    {"dyn.regionRelocations", &OsDynStats::regionRelocations},
-    {"dyn.regionsReleased", &OsDynStats::regionsReleased},
-    {"dyn.regionFramesReleased", &OsDynStats::regionFramesReleased},
-};
+/** Constant-initialized, so it has no exit-time destructor to race a
+ *  sweep worker that is still running when the process exits. */
+constexpr std::array<OsDynStats::Field, 16> dynFields = {{
+    {"events", &OsDynStats::events},
+    {"mmaps", &OsDynStats::mmaps},
+    {"munmaps", &OsDynStats::munmaps},
+    {"minorFaults", &OsDynStats::minorFaults},
+    {"madviseFrees", &OsDynStats::madviseFrees},
+    {"extends", &OsDynStats::extends},
+    {"churnReleases", &OsDynStats::churnReleases},
+    {"dataPagesFreed", &OsDynStats::dataPagesFreed},
+    {"ptNodesFreed", &OsDynStats::ptNodesFreed},
+    {"churnFramesReleased", &OsDynStats::churnFramesReleased},
+    {"tlbInvalidated", &OsDynStats::tlbInvalidated},
+    {"pwcInvalidated", &OsDynStats::pwcInvalidated},
+    {"regionGrowthHoles", &OsDynStats::regionGrowthHoles},
+    {"regionRelocations", &OsDynStats::regionRelocations},
+    {"regionsReleased", &OsDynStats::regionsReleased},
+    {"regionFramesReleased", &OsDynStats::regionFramesReleased},
+}};
+static_assert(sizeof(OsDynStats) ==
+                  dynFields.size() * sizeof(std::uint64_t),
+              "every OsDynStats field needs a dynFields entry");
 
 } // namespace
+
+const std::array<OsDynStats::Field, 16> &
+OsDynStats::fields()
+{
+    return dynFields;
+}
 
 void
 OsDynStats::merge(const OsDynStats &other)
 {
-    for (const DynField &f : dynFields)
-        this->*f.field += other.*f.field;
+    for (const Field &f : fields())
+        this->*f.member += other.*f.member;
 }
 
 void
-OsDynStats::appendCounters(
-    std::vector<std::pair<std::string, std::uint64_t>> &counters) const
+OsDynStats::appendCounters(obs::Counters &counters) const
 {
-    for (const DynField &f : dynFields)
-        counters.emplace_back(f.name, this->*f.field);
+    for (const Field &f : fields())
+        counters.emplace_back(std::string("dyn.") + f.name, this->*f.member);
 }
 
 void

@@ -32,12 +32,14 @@
 #ifndef ASAP_DYN_OS_EVENTS_HH
 #define ASAP_DYN_OS_EVENTS_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/types.hh"
+#include "obs/registry.hh"
 
 namespace asap
 {
@@ -116,13 +118,21 @@ struct OsDynStats
     std::uint64_t regionsReleased = 0;
     std::uint64_t regionFramesReleased = 0;
 
+    struct Field
+    {
+        const char *name;   ///< the member's name; counter "dyn.<name>"
+        std::uint64_t OsDynStats::*member;
+    };
+    /** Every field in declaration order: the one table behind merge(),
+     *  appendCounters() and the journal's "dyn" object. */
+    static const std::array<Field, 16> &fields();
+
     /** Add @p other field by field (every field is a sum). */
     void merge(const OsDynStats &other);
 
     /** Append every field as a `dyn.<field>` counter, in declaration
      *  order: the tail of a RunStats::counters list. */
-    void appendCounters(
-        std::vector<std::pair<std::string, std::uint64_t>> &counters) const;
+    void appendCounters(obs::Counters &counters) const;
 };
 
 /**

@@ -181,35 +181,6 @@ asapStatsFromJson(const Json &json, AsapEngineStats &stats)
            getU64(json, "issued", stats.issued);
 }
 
-/** The OsDynStats fields, all plain u64 — kept in one table so the
- *  encoder and decoder cannot drift apart. */
-const std::vector<std::pair<const char *,
-                            std::uint64_t OsDynStats::*>> &
-dynFields()
-{
-    static const std::vector<std::pair<const char *,
-                                       std::uint64_t OsDynStats::*>>
-        fields = {
-            {"events", &OsDynStats::events},
-            {"mmaps", &OsDynStats::mmaps},
-            {"munmaps", &OsDynStats::munmaps},
-            {"minorFaults", &OsDynStats::minorFaults},
-            {"madviseFrees", &OsDynStats::madviseFrees},
-            {"extends", &OsDynStats::extends},
-            {"churnReleases", &OsDynStats::churnReleases},
-            {"dataPagesFreed", &OsDynStats::dataPagesFreed},
-            {"ptNodesFreed", &OsDynStats::ptNodesFreed},
-            {"churnFramesReleased", &OsDynStats::churnFramesReleased},
-            {"tlbInvalidated", &OsDynStats::tlbInvalidated},
-            {"pwcInvalidated", &OsDynStats::pwcInvalidated},
-            {"regionGrowthHoles", &OsDynStats::regionGrowthHoles},
-            {"regionRelocations", &OsDynStats::regionRelocations},
-            {"regionsReleased", &OsDynStats::regionsReleased},
-            {"regionFramesReleased", &OsDynStats::regionFramesReleased},
-        };
-    return fields;
-}
-
 Json
 runStatsToJson(const RunStats &stats)
 {
@@ -237,8 +208,8 @@ runStatsToJson(const RunStats &stats)
     out.set("appAsap", asapStatsToJson(stats.appAsap));
     out.set("hostAsap", asapStatsToJson(stats.hostAsap));
     Json dyn = Json::object();
-    for (const auto &[name, member] : dynFields())
-        dyn.set(name, u64Str(stats.dyn.*member));
+    for (const OsDynStats::Field &f : OsDynStats::fields())
+        dyn.set(f.name, u64Str(stats.dyn.*f.member));
     out.set("dyn", std::move(dyn));
     Json counters = Json::array();
     for (const auto &[name, value] : stats.counters) {
@@ -301,8 +272,8 @@ runStatsFromJson(const Json &json, RunStats &stats)
     const Json *dyn = json.find("dyn");
     if (!dyn || dyn->type() != Json::Type::Object)
         return false;
-    for (const auto &[name, member] : dynFields()) {
-        if (!getU64(*dyn, name, stats.dyn.*member))
+    for (const OsDynStats::Field &f : OsDynStats::fields()) {
+        if (!getU64(*dyn, f.name, stats.dyn.*f.member))
             return false;
     }
     const Json *counters = json.find("counters");

@@ -25,27 +25,6 @@ seedOf(const RunConfig &config, unsigned tenant)
     return config.seed ^ (0x9e3779b97f4a7c15ULL * tenant);
 }
 
-/** Positional sum of identically-shaped counter snapshots (the
- *  RunStats::merge convention: same structures, same name lists). */
-void
-addInto(std::vector<std::pair<std::string, std::uint64_t>> &into,
-        const std::vector<std::pair<std::string, std::uint64_t>> &from)
-{
-    if (into.empty()) {
-        into = from;
-        return;
-    }
-    panic_if(into.size() != from.size(),
-             "mc counter lists differ (%zu vs %zu)", into.size(),
-             from.size());
-    for (std::size_t i = 0; i < into.size(); ++i) {
-        panic_if(into[i].first != from[i].first,
-                 "mc counter %zu name mismatch (%s vs %s)", i,
-                 into[i].first.c_str(), from[i].first.c_str());
-        into[i].second += from[i].second;
-    }
-}
-
 } // namespace
 
 MultiCoreSimulator::MultiCoreSimulator(const McConfig &mcConfig,
@@ -266,17 +245,17 @@ MultiCoreSimulator::maxCoreNow() const
     return max;
 }
 
-std::vector<std::pair<std::string, std::uint64_t>>
+obs::Counters
 MultiCoreSimulator::collectAggregateCounters() const
 {
     // Core-shared hardware first, in the serial name order
     // (registerMemTlbCounters is the single source of the list), summed
     // positionally across cores ...
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
+    obs::Counters counters;
     for (const Core &core : cores_) {
         obs::Registry registry;
         Machine::registerMemTlbCounters(registry, *core.mem, *core.tlb);
-        addInto(counters, registry.snapshot());
+        obs::addCounters(counters, registry.snapshot());
     }
     // ... except the LLC, which is one shared structure every core's
     // hierarchy points at: the positional sum counted it once per
@@ -292,24 +271,24 @@ MultiCoreSimulator::collectAggregateCounters() const
 
     // Tenant-private translation machinery, summed over every
     // (tenant, core) machine.
-    std::vector<std::pair<std::string, std::uint64_t>> translation;
+    obs::Counters translation;
     for (const auto &tenant : tenants_) {
         for (const auto &machine : tenant->machines) {
             obs::Registry registry;
             machine->registerTranslationCounters(registry);
-            addInto(translation, registry.snapshot());
+            obs::addCounters(translation, registry.snapshot());
         }
     }
     counters.insert(counters.end(), translation.begin(),
                     translation.end());
 
     // OS-side state, summed over tenants.
-    std::vector<std::pair<std::string, std::uint64_t>> system;
+    obs::Counters system;
     OsDynStats dyn{};
     for (const auto &tenant : tenants_) {
         obs::Registry registry;
         tenant->system->registerCounters(registry);
-        addInto(system, registry.snapshot());
+        obs::addCounters(system, registry.snapshot());
 
         dyn.merge(tenant->stream->dynStats());
     }
@@ -358,10 +337,10 @@ MultiCoreSimulator::collectAggregateCounters() const
     return counters;
 }
 
-std::vector<std::pair<std::string, std::uint64_t>>
+obs::Counters
 MultiCoreSimulator::collectGauges() const
 {
-    std::vector<std::pair<std::string, std::uint64_t>> gauges;
+    obs::Counters gauges;
     const auto permille = [](std::uint64_t part,
                              std::uint64_t whole) -> std::uint64_t {
         return whole == 0 ? 0 : 1000 * part / whole;
@@ -415,16 +394,16 @@ MultiCoreSimulator::finalizeTenant(unsigned tenant)
     // attribution. Core-shared cache/TLB counters are deliberately
     // absent — they belong to cores, not tenants (the aggregate
     // carries them).
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
+    obs::Counters counters;
     for (const auto &machine : tn.machines) {
         obs::Registry registry;
         machine->registerTranslationCounters(registry);
-        addInto(counters, registry.snapshot());
+        obs::addCounters(counters, registry.snapshot());
     }
     {
         obs::Registry registry;
         tn.system->registerCounters(registry);
-        const auto system = registry.snapshot();
+        const obs::Counters &system = registry.snapshot();
         counters.insert(counters.end(), system.begin(), system.end());
     }
     stats.dyn.appendCounters(counters);

@@ -214,10 +214,8 @@ class MultiCoreSimulator
      *  shared LLC once, translation sums, system + dyn sums; mc.*
      *  extras appended only on a genuinely multi-core/multi-tenant
      *  shape (so 1x1 stays bit-identical to the serial list). */
-    std::vector<std::pair<std::string, std::uint64_t>>
-    collectAggregateCounters() const;
-    std::vector<std::pair<std::string, std::uint64_t>>
-    collectGauges() const;
+    obs::Counters collectAggregateCounters() const;
+    obs::Counters collectGauges() const;
     Cycles maxCoreNow() const;
 
     McConfig mcConfig_;

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 
-#include "common/interned.hh"
 #include "common/set_assoc.hh"
 #include "common/types.hh"
 
@@ -30,8 +29,8 @@ namespace asap
 /** Geometry + latency of one cache level. */
 struct CacheConfig
 {
-    /** Interned: MachineConfig copies per sweep cell stay heap-free. */
-    InternedName name = "cache";
+    /** A string literal; read only by panic and fatal messages. */
+    const char *name = "cache";
     std::uint64_t sizeBytes = 32_KiB;
     unsigned ways = 8;
     Cycles latency = 4;         ///< total load-to-use latency on a hit here

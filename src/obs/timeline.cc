@@ -95,11 +95,9 @@ histogramDiff(const Histogram &cur, const Histogram &prev)
 }
 
 void
-Timeline::sample(
-    std::uint64_t measuredAccesses, Cycles now,
-    const std::vector<std::pair<std::string, std::uint64_t>> &counters,
-    const Histogram &walkHist, const Histogram &dataHist,
-    const std::vector<std::pair<std::string, std::uint64_t>> &gauges)
+Timeline::sample(std::uint64_t measuredAccesses, Cycles now,
+                 const Counters &counters, const Histogram &walkHist,
+                 const Histogram &dataHist, const Counters &gauges)
 {
     if (!enabled_)
         return;

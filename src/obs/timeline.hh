@@ -48,6 +48,7 @@
 #include "common/status.hh"
 #include "common/types.hh"
 #include "obs/histogram.hh"
+#include "obs/registry.hh"
 
 namespace asap::obs
 {
@@ -113,11 +114,8 @@ class Timeline
      */
     void
     sample(std::uint64_t measuredAccesses, Cycles now,
-           const std::vector<std::pair<std::string, std::uint64_t>>
-               &counters,
-           const Histogram &walkHist, const Histogram &dataHist,
-           const std::vector<std::pair<std::string, std::uint64_t>>
-               &gauges);
+           const Counters &counters, const Histogram &walkHist,
+           const Histogram &dataHist, const Counters &gauges);
 
     std::size_t epochCount() const { return epochs_.size(); }
     const TimelineEpoch &

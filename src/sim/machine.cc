@@ -98,57 +98,49 @@ Machine::registerMemTlbCounters(obs::Registry &registry,
                                 const MemoryHierarchy &mem,
                                 const TlbHierarchy &tlb)
 {
-    const auto counter = [&registry](const char *name,
-                                     std::uint64_t value) {
-        registry.add(name, [value] { return value; });
-    };
-    counter("l1d.hits", mem.l1d().hits());
-    counter("l1d.misses", mem.l1d().misses());
-    counter("l2.hits", mem.l2().hits());
-    counter("l2.misses", mem.l2().misses());
-    counter("llc.hits", mem.llc().hits());
-    counter("llc.misses", mem.llc().misses());
-    counter("mshr.prefetchesIssued", mem.prefetchesIssued());
-    counter("mshr.prefetchesDropped", mem.prefetchesDropped());
-    counter("mshr.prefetchMerges", mem.prefetchMerges());
-    counter("mshr.inflightHighWater", mem.inflightHighWater());
-    counter("tlb.lookups", tlb.lookups());
-    counter("tlb.l1Misses", tlb.l1Misses());
-    counter("tlb.l2Misses", tlb.l2Misses());
-    counter("tlb.l1ValidEntries", tlb.l1ValidEntries());
-    counter("tlb.l2ValidEntries", tlb.l2ValidEntries());
+    registry.add("l1d.hits", mem.l1d().hits());
+    registry.add("l1d.misses", mem.l1d().misses());
+    registry.add("l2.hits", mem.l2().hits());
+    registry.add("l2.misses", mem.l2().misses());
+    registry.add("llc.hits", mem.llc().hits());
+    registry.add("llc.misses", mem.llc().misses());
+    registry.add("mshr.prefetchesIssued", mem.prefetchesIssued());
+    registry.add("mshr.prefetchesDropped", mem.prefetchesDropped());
+    registry.add("mshr.prefetchMerges", mem.prefetchMerges());
+    registry.add("mshr.inflightHighWater", mem.inflightHighWater());
+    registry.add("tlb.lookups", tlb.lookups());
+    registry.add("tlb.l1Misses", tlb.l1Misses());
+    registry.add("tlb.l2Misses", tlb.l2Misses());
+    registry.add("tlb.l1ValidEntries", tlb.l1ValidEntries());
+    registry.add("tlb.l2ValidEntries", tlb.l2ValidEntries());
 }
 
 void
 Machine::registerTranslationCounters(obs::Registry &registry) const
 {
-    const auto counter = [&registry](const char *name,
-                                     std::uint64_t value) {
-        registry.add(name, [value] { return value; });
-    };
-    counter("pwc.app.hits", appPwc_.hits());
-    counter("pwc.app.lookups", appPwc_.lookups());
-    counter("pwc.app.validEntries", appPwc_.validEntries());
+    registry.add("pwc.app.hits", appPwc_.hits());
+    registry.add("pwc.app.lookups", appPwc_.lookups());
+    registry.add("pwc.app.validEntries", appPwc_.validEntries());
     if (hostPwc_) {
-        counter("pwc.host.hits", hostPwc_->hits());
-        counter("pwc.host.lookups", hostPwc_->lookups());
-        counter("pwc.host.validEntries", hostPwc_->validEntries());
+        registry.add("pwc.host.hits", hostPwc_->hits());
+        registry.add("pwc.host.lookups", hostPwc_->lookups());
+        registry.add("pwc.host.validEntries", hostPwc_->validEntries());
     }
-    counter("walker.walks", walks());
-    counter("walker.faultsServiced", faultsServiced_);
-    counter("ranges.app.lookups", appRegisters_.lookups());
-    counter("ranges.app.hits", appRegisters_.hits());
+    registry.add("walker.walks", walks());
+    registry.add("walker.faultsServiced", faultsServiced_);
+    registry.add("ranges.app.lookups", appRegisters_.lookups());
+    registry.add("ranges.app.hits", appRegisters_.hits());
     if (appEngine_) {
-        counter("asap.app.triggers", appEngine_->triggers());
-        counter("asap.app.rangeHits", appEngine_->rangeHits());
-        counter("asap.app.attempted", appEngine_->attempted());
-        counter("asap.app.issued", appEngine_->issued());
+        registry.add("asap.app.triggers", appEngine_->triggers());
+        registry.add("asap.app.rangeHits", appEngine_->rangeHits());
+        registry.add("asap.app.attempted", appEngine_->attempted());
+        registry.add("asap.app.issued", appEngine_->issued());
     }
     if (hostEngine_) {
-        counter("asap.host.triggers", hostEngine_->triggers());
-        counter("asap.host.rangeHits", hostEngine_->rangeHits());
-        counter("asap.host.attempted", hostEngine_->attempted());
-        counter("asap.host.issued", hostEngine_->issued());
+        registry.add("asap.host.triggers", hostEngine_->triggers());
+        registry.add("asap.host.rangeHits", hostEngine_->rangeHits());
+        registry.add("asap.host.attempted", hostEngine_->attempted());
+        registry.add("asap.host.issued", hostEngine_->issued());
     }
 }
 

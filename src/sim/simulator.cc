@@ -46,25 +46,7 @@ RunStats::merge(const RunStats &other)
     // aggregate sums churning tenants).
     dyn.merge(other.dyn);
 
-    // Counter snapshots add positionally: identically configured
-    // machines register the identical name list in the identical
-    // order, and a mismatch means the caller merged across different
-    // machine configurations — a programming error.
-    if (counters.empty()) {
-        counters = other.counters;
-    } else {
-        panic_if(counters.size() != other.counters.size(),
-                 "RunStats::merge: counter lists differ (%zu vs %zu)",
-                 counters.size(), other.counters.size());
-        for (std::size_t i = 0; i < counters.size(); ++i) {
-            panic_if(counters[i].first != other.counters[i].first,
-                     "RunStats::merge: counter %zu name mismatch "
-                     "(%s vs %s)",
-                     i, counters[i].first.c_str(),
-                     other.counters[i].first.c_str());
-            counters[i].second += other.counters[i].second;
-        }
-    }
+    obs::addCounters(counters, other.counters);
     // profile: deliberately untouched (see the declaration).
 }
 
@@ -244,13 +226,13 @@ Simulator::run(const RunConfig &config)
     // the end-of-run snapshot below: the identical name list and the
     // identical value sources, so the timeline's per-epoch deltas sum
     // to stats.counters exactly (tests/test_timeline.cc pins this).
-    // Registry readers capture their value at registration time, so a
-    // fresh Registry is built per snapshot — cold path only.
+    // A Registry holds the values read at registration, so a fresh one
+    // is built per snapshot — cold path only.
     const auto collectCounters = [&]() {
         obs::Registry registry;
         machine_.registerCounters(registry);
         system_.registerCounters(registry);
-        auto counters = registry.snapshot();
+        obs::Counters counters = registry.snapshot();
         stream.dynStats().appendCounters(counters);
         return counters;
     };
@@ -259,7 +241,7 @@ Simulator::run(const RunConfig &config)
     // registry cannot express as lifetime sums. Sampled only at epoch
     // boundaries (and once at end of run), never on the hot path.
     const auto collectGauges = [&]() {
-        std::vector<std::pair<std::string, std::uint64_t>> gauges;
+        obs::Counters gauges;
         const auto gauge = [&gauges](const char *name,
                                      std::uint64_t value) {
             gauges.emplace_back(name, value);

@@ -32,6 +32,7 @@
 #include "dyn/os_events.hh"
 #include "obs/histogram.hh"
 #include "obs/profile.hh"
+#include "obs/registry.hh"
 #include "sim/machine.hh"
 #include "sim/system.hh"
 #include "workloads/workload.hh"
@@ -132,7 +133,7 @@ struct RunStats
     /** End-of-run snapshot of every registered component counter
      *  (obs::Registry; machine + system + dyn.*), in registration
      *  order. Deterministic — safe for CSV columns. */
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
+    obs::Counters counters;
 
     /** Wall-clock self-profile (nondeterministic; JSON artifacts
      *  only, never compared). */

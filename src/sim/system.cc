@@ -305,47 +305,47 @@ System::hostDescriptors() const
 void
 System::registerCounters(obs::Registry &registry) const
 {
-    const auto counter = [&registry](const char *name,
-                                     std::uint64_t value) {
-        registry.add(name, [value] { return value; });
-    };
-    counter("buddy.totalFrames", machineFrames_->totalFrames());
-    counter("buddy.freeFrames", machineFrames_->freeFrames());
-    counter("buddy.allocatedFrames", machineFrames_->allocatedFrames());
-    counter("buddy.churnHeldBlocks", machineFrames_->churnHeldBlocks());
+    registry.add("buddy.totalFrames", machineFrames_->totalFrames());
+    registry.add("buddy.freeFrames", machineFrames_->freeFrames());
+    registry.add("buddy.allocatedFrames",
+                 machineFrames_->allocatedFrames());
+    registry.add("buddy.churnHeldBlocks",
+                 machineFrames_->churnHeldBlocks());
     // Fragmentation introspection (PR 9): the largest-free-order is
     // reported as order+1 so the "no free block at all" case (-1) and
     // order-0-only (0) stay distinguishable in an unsigned counter.
-    counter("buddy.largestFreeOrderPlus1",
-            static_cast<std::uint64_t>(machineFrames_->largestFreeOrder() +
-                                       1));
-    counter("buddy.fragPermille", machineFrames_->fragmentationPermille());
+    registry.add("buddy.largestFreeOrderPlus1",
+                 static_cast<std::uint64_t>(
+                     machineFrames_->largestFreeOrder() + 1));
+    registry.add("buddy.fragPermille",
+                 machineFrames_->fragmentationPermille());
     if (guestFrames_) {
-        counter("buddy.guest.freeFrames", guestFrames_->freeFrames());
-        counter("buddy.guest.allocatedFrames",
-                guestFrames_->allocatedFrames());
+        registry.add("buddy.guest.freeFrames", guestFrames_->freeFrames());
+        registry.add("buddy.guest.allocatedFrames",
+                     guestFrames_->allocatedFrames());
     }
-    counter("os.pageFaults", appSpace_->pageFaults());
-    counter("os.touchedPages", appSpace_->touchedPages());
-    counter("os.relocations", appSpace_->relocations());
-    counter("pt.liveNodes", appSpace_->pageTable().nodeCount());
-    counter("pt.deadNodes", appSpace_->pageTable().deadNodeCount());
+    registry.add("os.pageFaults", appSpace_->pageFaults());
+    registry.add("os.touchedPages", appSpace_->touchedPages());
+    registry.add("os.relocations", appSpace_->relocations());
+    registry.add("pt.liveNodes", appSpace_->pageTable().nodeCount());
+    registry.add("pt.deadNodes", appSpace_->pageTable().deadNodeCount());
     if (appAsap_) {
-        counter("asapAlloc.app.reservedFrames",
-                appAsap_->reservedFrames());
-        counter("asapAlloc.app.regionAllocs", appAsap_->regionAllocs());
-        counter("asapAlloc.app.fallbackAllocs",
-                appAsap_->fallbackAllocs());
-        counter("asapAlloc.app.failedReservations",
-                appAsap_->failedReservations());
+        registry.add("asapAlloc.app.reservedFrames",
+                     appAsap_->reservedFrames());
+        registry.add("asapAlloc.app.regionAllocs",
+                     appAsap_->regionAllocs());
+        registry.add("asapAlloc.app.fallbackAllocs",
+                     appAsap_->fallbackAllocs());
+        registry.add("asapAlloc.app.failedReservations",
+                     appAsap_->failedReservations());
     }
     if (hostAsap_) {
-        counter("asapAlloc.host.reservedFrames",
-                hostAsap_->reservedFrames());
-        counter("asapAlloc.host.regionAllocs",
-                hostAsap_->regionAllocs());
-        counter("asapAlloc.host.fallbackAllocs",
-                hostAsap_->fallbackAllocs());
+        registry.add("asapAlloc.host.reservedFrames",
+                     hostAsap_->reservedFrames());
+        registry.add("asapAlloc.host.regionAllocs",
+                     hostAsap_->regionAllocs());
+        registry.add("asapAlloc.host.fallbackAllocs",
+                     hostAsap_->fallbackAllocs());
     }
 }
 

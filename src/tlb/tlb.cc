@@ -8,9 +8,9 @@ namespace asap
 Tlb::Tlb(const TlbConfig &config) : config_(config)
 {
     fatal_if(config_.ways == 0 || config_.entries % config_.ways != 0,
-             "%s: bad associativity", config_.name.c_str());
+             "%s: bad associativity", config_.name);
     fatal_if(!isPow2(config_.numSets()),
-             "%s: set count must be a power of two", config_.name.c_str());
+             "%s: set count must be a power of two", config_.name);
     entries_.init(config_.numSets(), config_.ways);
 }
 
@@ -73,9 +73,9 @@ Tlb::invalidateRangeKey(VirtAddr start, VirtAddr end,
 ClusteredTlb::ClusteredTlb(const TlbConfig &config) : config_(config)
 {
     fatal_if(config_.ways == 0 || config_.entries % config_.ways != 0,
-             "%s: bad associativity", config_.name.c_str());
+             "%s: bad associativity", config_.name);
     fatal_if(!isPow2(config_.numSets()),
-             "%s: set count must be a power of two", config_.name.c_str());
+             "%s: set count must be a power of two", config_.name);
     entries_.init(config_.numSets(), config_.ways);
 }
 

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "common/interned.hh"
 #include "common/logging.hh"
 #include "common/set_assoc.hh"
 #include "common/types.hh"
@@ -33,8 +32,8 @@ namespace asap
 
 struct TlbConfig
 {
-    /** Interned: MachineConfig copies per sweep cell stay heap-free. */
-    InternedName name = "TLB";
+    /** A string literal; read only by panic and fatal messages. */
+    const char *name = "TLB";
     unsigned entries = 64;
     unsigned ways = 8;
     /** Leaf levels this TLB accepts (bit i set => level i+1 supported). */
@@ -98,11 +97,11 @@ class Tlb
                  level);
         panic_if(!(config_.levelMask & (1u << (level - 1))),
                  "%s: fill with unsupported page size level %u",
-                 config_.name.c_str(), level);
+                 config_.name, level);
         const std::uint64_t tag = tagOf(va, level);
         panic_if(asidKey_ != 0 && (tag >> (asidShift - 2)) != 0,
                  "%s: VA %#lx tag collides with ASID bits",
-                 config_.name.c_str(), va);
+                 config_.name, va);
         const auto slot =
             entries_.findOrVictim(entries_.setOf(tag), keyOf(tag, level));
         if (!slot.matched) {

@@ -297,24 +297,25 @@ traceSummary(const TraceFile &trace)
         static_cast<unsigned long>(header.residentPages),
         static_cast<unsigned long>(header.machineMemBytes >> 20),
         static_cast<unsigned long>(header.guestMemBytes >> 20));
-    if (trace.version() == trc2Version) {
-        std::uint64_t raw = 0, stored = 0, deflated = 0;
-        for (const TraceChunk &chunk : trace.chunks()) {
-            raw += chunk.rawBytes;
-            stored += chunk.storedBytes;
-            deflated += chunk.codec == chunkCodecDeflate ? 1 : 0;
-        }
-        out += strprintf(
-            "  chunks         %zu x %u accesses, %lu of them deflated\n"
-            "  stream         %lu raw -> %lu stored bytes (%.2fx)\n",
-            trace.chunks().size(), header.chunkAccesses,
-            static_cast<unsigned long>(deflated),
-            static_cast<unsigned long>(raw),
-            static_cast<unsigned long>(stored),
-            stored ? static_cast<double>(raw) /
-                         static_cast<double>(stored)
-                   : 0.0);
+    std::uint64_t raw = 0, stored = 0, deflated = 0;
+    for (const TraceChunk &chunk : trace.chunks()) {
+        raw += chunk.rawBytes;
+        stored += chunk.storedBytes;
+        deflated += chunk.codec == chunkCodecDeflate ? 1 : 0;
     }
+    if (header.chunkAccesses == 0)
+        out += "  chunks         1 legacy ASAPTRC1 stream\n";
+    else
+        out += strprintf("  chunks         %zu x %u accesses, %lu of them "
+                         "deflated\n",
+                         trace.chunks().size(), header.chunkAccesses,
+                         static_cast<unsigned long>(deflated));
+    out += strprintf("  stream         %lu raw -> %lu stored bytes (%.2fx)\n",
+                     static_cast<unsigned long>(raw),
+                     static_cast<unsigned long>(stored),
+                     stored ? static_cast<double>(raw) /
+                                  static_cast<double>(stored)
+                            : 0.0);
     return out;
 }
 

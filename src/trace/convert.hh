@@ -3,8 +3,9 @@
  * Trace-ingestion pipelines built on the container reader/writer and
  * the importer framework:
  *
- *   - convertToV2: re-container any readable trace (ASAPTRC1 or v2)
- *     into ASAPTRC2 with chosen chunking / compression / sampling.
+ *   - convertToV2: re-container any readable trace (ASAPTRC2, or a
+ *     legacy ASAPTRC1 file) into ASAPTRC2 with chosen chunking /
+ *     compression / sampling.
  *   - importTrace: parse an external capture (text, ChampSim,
  *     DynamoRIO memtrace), synthesize the setup stream from its
  *     address footprint, rewrite the references into the replay
@@ -30,7 +31,8 @@ namespace asap
 {
 
 /**
- * Re-container @p inPath (either version) into ASAPTRC2 at @p outPath.
+ * Re-container @p inPath (ASAPTRC2 or ASAPTRC1) into ASAPTRC2 at
+ * @p outPath.
  * The metadata block, setup ops and address stream carry over
  * unchanged; sampling in @p options drops chunks of the *output*
  * chunking. Re-containering an already-sampled trace keeps its original

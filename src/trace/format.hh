@@ -5,13 +5,9 @@
  * signed mapping, a bounds-checked reader over an in-memory file image,
  * and a read-only memory-mapped file.
  *
- * Two container versions share these primitives (and their metadata
- * block layout — see trace_file.hh):
- *   - ASAPTRC1 (src/workloads/trace.cc): one monolithic zigzag-varint
- *     delta stream.
- *   - ASAPTRC2 (src/trace/writer.cc): chunked delta blocks with a
- *     seekable end-of-file index, optional per-chunk compression and a
- *     sampled-stream mode.
+ * The ASAPTRC2 container (layout in trace_file.hh, written by
+ * src/trace/writer.cc) is built from these primitives; so is the legacy
+ * ASAPTRC1 container, which is only read.
  *
  * Everything here treats input as hostile: traces can come from
  * external converters, so malformed bytes must raise a recoverable
@@ -48,7 +44,7 @@ constexpr char trc2EndMagic[8] = {'A', 'S', 'A', 'P', 'E', 'N', 'D', '2'};
 constexpr std::uint32_t trc1Version = 1;
 constexpr std::uint32_t trc2Version = 2;
 
-/** Setup-op stream tags (shared by both container versions). */
+/** Setup-op stream tags. */
 constexpr std::uint8_t opMmap = 0;
 constexpr std::uint8_t opTouchRun = 1;
 

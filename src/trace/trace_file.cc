@@ -20,7 +20,7 @@ constexpr std::uint64_t indexEntryBytes = 8 + 4 + 4 + 4 + 1 + 8;
 /** Bytes of the fixed footer (indexOffset, chunkCount, end magic). */
 constexpr std::uint64_t footerBytes = 8 + 8 + 8;
 
-/** The metadata block common to both container versions. */
+/** The metadata block, identical in both containers. */
 void
 readMetadata(ByteReader &in, TraceHeader &header)
 {
@@ -118,23 +118,29 @@ TraceFile::loadV1(ByteReader &in)
     opsOffset_ = in.offset();
     in.skip(opsBytes_);
 
-    header_.accessCount = in.get64();
-    streamBytes_ = in.get64();
-    streamOffset_ = in.offset();
-    in.skip(streamBytes_);
+    // The one delta stream is a raw chunk that re-bases from VA 0,
+    // which is what every ASAPTRC2 chunk is.
+    TraceChunk stream;
+    stream.accesses = in.get64();
+    stream.rawBytes = in.get64();
+    stream.storedBytes = stream.rawBytes;
+    stream.offset = in.offset();
+    in.skip(stream.rawBytes);
 
     // Every delta costs at least one varint byte, so a stream shorter
     // than the access count cannot be decoded fully — reject up front
     // instead of hitting "truncated varint" mid-replay.
-    input_error_if(streamBytes_ < header_.accessCount,
+    input_error_if(stream.rawBytes < stream.accesses,
                    "%s: stream (%lu bytes) shorter than access count %lu",
                    path().c_str(),
-                   static_cast<unsigned long>(streamBytes_),
-                   static_cast<unsigned long>(header_.accessCount));
+                   static_cast<unsigned long>(stream.rawBytes),
+                   static_cast<unsigned long>(stream.accesses));
 
-    header_.representedAccesses = header_.accessCount;
+    header_.accessCount = stream.accesses;
+    header_.representedAccesses = stream.accesses;
     header_.sampleInterval = 1;
     header_.chunkAccesses = 0;
+    chunks_.push_back(stream);
 }
 
 void
@@ -218,11 +224,11 @@ TraceFile::loadV2(ByteReader &in)
                            i * indexEntryBytes));
         expectedOffset += chunk.storedBytes;
         input_error_if(expectedOffset > indexOffset,
-                       "%s: chunk %lu (at byte offset %llu, %u stored "
+                       "%s: chunk %lu (at byte offset %llu, %llu stored "
                        "bytes) overruns the index at %llu",
                        p, static_cast<unsigned long>(i),
                        static_cast<unsigned long long>(chunk.offset),
-                       chunk.storedBytes,
+                       static_cast<unsigned long long>(chunk.storedBytes),
                        static_cast<unsigned long long>(indexOffset));
         if (chunk.codec == chunkCodecEventOps) {
             // OS-event stream payload: lifted out of the address-chunk
@@ -259,10 +265,12 @@ TraceFile::loadV2(ByteReader &in)
             // index from demanding a huge inflation buffer.
             input_error_if(chunk.rawBytes / 1032 >
                                chunk.storedBytes,
-                           "%s: chunk %lu claims %u raw bytes from %u "
+                           "%s: chunk %lu claims %llu raw bytes from %llu "
                            "stored (beyond max deflate ratio)",
                            p, static_cast<unsigned long>(i),
-                           chunk.rawBytes, chunk.storedBytes);
+                           static_cast<unsigned long long>(chunk.rawBytes),
+                           static_cast<unsigned long long>(
+                               chunk.storedBytes));
         } else {
             input_error("%s: unknown chunk codec %u in chunk %lu", p,
                         static_cast<unsigned>(chunk.codec),
@@ -280,22 +288,6 @@ TraceFile::loadV2(ByteReader &in)
 // ---------------------------------------------------------------------------
 
 void
-TraceCursor::rewind()
-{
-    if (file_.version() == trc1Version) {
-        cursor_ = file_.streamBegin();
-        end_ = file_.streamEnd();
-        // Offsets reported against the file image: absolute positions.
-        blockLabel_ = file_.path();
-        blockBase_ = file_.fileData();
-        prevVa_ = 0;
-        remaining_ = file_.header().accessCount;
-    } else {
-        loadChunk(0);
-    }
-}
-
-void
 TraceCursor::advanceBlock()
 {
     // A block's varints must consume its byte count exactly; leftovers
@@ -305,18 +297,8 @@ TraceCursor::advanceBlock()
                    "access count",
                    blockLabel_.c_str(),
                    static_cast<unsigned long>(end_ - cursor_));
-    if (file_.version() == trc1Version) {
-        // Wrap: the stream restarts at exactly its first address (the
-        // first delta re-bases from 0).
-        cursor_ = file_.streamBegin();
-        prevVa_ = 0;
-        remaining_ = file_.header().accessCount;
-    } else {
-        const std::size_t nextIdx = chunkIdx_ + 1 < file_.chunks().size()
-                                        ? chunkIdx_ + 1
-                                        : 0;
-        loadChunk(nextIdx);
-    }
+    // Past the last chunk the stream wraps to its first address.
+    loadChunk(chunkIdx_ + 1 < file_.chunks().size() ? chunkIdx_ + 1 : 0);
 }
 
 void
@@ -352,10 +334,11 @@ TraceCursor::loadChunk(std::size_t idx)
             input_error_if(
                 rc != Z_OK || destLen != chunk.rawBytes,
                 "%s: chunk %zu (at byte offset %llu) fails to "
-                "decompress (zlib rc %d, %lu of %u bytes)",
+                "decompress (zlib rc %d, %lu of %llu bytes)",
                 file_.path().c_str(), idx,
                 static_cast<unsigned long long>(chunk.offset), rc,
-                static_cast<unsigned long>(destLen), chunk.rawBytes);
+                static_cast<unsigned long>(destLen),
+                static_cast<unsigned long long>(chunk.rawBytes));
         }
         cursor_ = dest->data();
         // Offsets are within the decoded chunk, not the file; say so.

@@ -1,26 +1,26 @@
 /**
  * @file
- * Version-transparent reader for ASAP trace containers.
+ * Reader for ASAP trace containers.
  *
- * ASAPTRC1 (src/workloads/trace.cc) is a monolithic zigzag-varint delta
- * stream; ASAPTRC2 (src/trace/writer.cc) splits the stream into
- * self-contained chunks with a seekable end-of-file index, optional
- * per-chunk compression and a sampled-stream mode. TraceFile loads
- * either version behind one interface, and TraceCursor decodes the
- * address stream of either — so TraceReplayWorkload, the sweeps and
- * perf_hotpath accept both formats without caring which they got.
+ * ASAPTRC2 (written by src/trace/writer.cc) splits the address stream
+ * into self-contained chunks with a seekable end-of-file index,
+ * optional per-chunk compression and a sampled-stream mode. TraceFile
+ * loads it, and the legacy ASAPTRC1 container too, behind one
+ * interface; TraceCursor decodes the chunks, so TraceReplayWorkload,
+ * the sweeps and perf_hotpath accept either file.
  *
  * ASAPTRC2 layout (little-endian):
  *
  *   magic     "ASAPTRC2" (8 bytes)
  *   u32       version (2)
  *   u32       reserved (0)
- *   <metadata block — identical layout to ASAPTRC1>:
+ *   <metadata block>:
  *     str  workload name, u32 computeCyclesPerAccess, f64 paperGb,
  *     u64  residentPages, u64 machineMemBytes, u64 guestMemBytes,
  *     u64  churnOps, u64 guestChurnOps, u32 churnMaxOrder,
  *     u64  recordSeed
- *   u64       opBytes, then the setup op stream (v1 encoding)
+ *   u64       opBytes, then the setup op stream
+ *             (src/trace/setup_capture.hh encoding)
  *   u64       representedAccesses   (pre-sampling total)
  *   u32       sampleInterval        (1 = full stream; N = 1-in-N chunks)
  *   u32       chunkTargetAccesses   (accesses per chunk, last may be
@@ -41,6 +41,11 @@
  * Sampled traces carry representedAccesses > accessCount; RunStats
  * measured over the sampled stream can be scaled by
  * representedAccesses/accessCount.
+ *
+ * ASAPTRC1 is read only: "ASAPTRC1", u32 version (1), u32 reserved, the
+ * same metadata block and setup ops, then u64 accessCount, u64
+ * streamBytes and one zigzag-varint delta stream from VA 0. That stream
+ * is exactly one raw ASAPTRC2 chunk, and loads as one.
  */
 
 #ifndef ASAP_TRACE_TRACE_FILE_HH
@@ -80,23 +85,27 @@ struct TraceHeader
     std::uint64_t representedAccesses = 0;
     /** 1 = full stream; N = every N-th chunk was recorded. */
     std::uint32_t sampleInterval = 1;
-    /** v2 only: target accesses per chunk (0 for v1). */
+    /** Target accesses per chunk; 0 for an ASAPTRC1 file, whose one
+     *  chunk is its whole stream. */
     std::uint32_t chunkAccesses = 0;
 };
 
-/** One ASAPTRC2 chunk-index entry. */
+/** One address chunk. The ASAPTRC2 index stores the sizes as u32; they
+ *  are u64 here because an ASAPTRC1 stream, loaded as one chunk, can
+ *  pass 4 GiB or 2^32 accesses. */
 struct TraceChunk
 {
     std::uint64_t offset = 0;       ///< payload offset in the file
-    std::uint32_t storedBytes = 0;  ///< bytes on disk (post-codec)
-    std::uint32_t rawBytes = 0;     ///< decoded varint-block bytes
-    std::uint32_t accesses = 0;     ///< addresses in this chunk
+    std::uint64_t storedBytes = 0;  ///< bytes on disk (post-codec)
+    std::uint64_t rawBytes = 0;     ///< decoded varint-block bytes
+    std::uint64_t accesses = 0;     ///< addresses in this chunk
     std::uint8_t codec = chunkCodecRaw;
-    VirtAddr firstVa = 0;           ///< first address (metadata/stats)
+    /** First address (index metadata; 0 for an ASAPTRC1 stream). */
+    VirtAddr firstVa = 0;
 };
 
 /**
- * A loaded (mmap-backed, read-only) trace file, v1 or v2. Cheap to open
+ * A loaded (mmap-backed, read-only) trace file. Cheap to open
  * per Environment; concurrent readers share the page cache. Malformed
  * files throw StatusError (DataLoss, with the offending byte offset) —
  * headers, section lengths, the chunk index and the footer are all
@@ -126,29 +135,23 @@ class TraceFile
     const std::uint8_t *fileData() const { return file_.data(); }
     unsigned version() const { return version_; }
 
-    /** Raw setup-op bytes [begin, end) — same encoding in v1 and v2. */
+    /** Raw setup-op bytes [begin, end). */
     const std::uint8_t *opsBegin() const
     { return file_.data() + opsOffset_; }
     const std::uint8_t *opsEnd() const { return opsBegin() + opsBytes_; }
 
-    /** Serialized OS-event stream (dyn/os_events.hh) from the v2
-     *  event-op chunk; empty for static traces and all v1 files. */
+    /** Serialized OS-event stream (dyn/os_events.hh) from the
+     *  event-op chunk; empty for static traces. */
     bool hasEventOps() const { return eventBytes_ != 0; }
     const std::uint8_t *eventOpsBegin() const
     { return file_.data() + eventOffset_; }
     const std::uint8_t *eventOpsEnd() const
     { return eventOpsBegin() + eventBytes_; }
 
-    /** v1: raw address-stream bytes [begin, end). */
-    const std::uint8_t *streamBegin() const
-    { return file_.data() + streamOffset_; }
-    const std::uint8_t *streamEnd() const
-    { return streamBegin() + streamBytes_; }
-
-    /** v2: the chunk index (empty for v1). */
+    /** The address chunks, never empty (one for an ASAPTRC1 file). */
     const std::vector<TraceChunk> &chunks() const { return chunks_; }
 
-    /** v2: stored payload bytes of chunk @p i. */
+    /** Stored payload bytes of chunk @p i. */
     const std::uint8_t *
     chunkData(std::size_t i) const
     {
@@ -166,17 +169,15 @@ class TraceFile
     TraceHeader header_;
     std::uint64_t opsOffset_ = 0;
     std::uint64_t opsBytes_ = 0;
-    std::uint64_t eventOffset_ = 0;     ///< v2 event-op chunk payload
+    std::uint64_t eventOffset_ = 0;     ///< event-op chunk payload
     std::uint64_t eventBytes_ = 0;
-    std::uint64_t streamOffset_ = 0;    ///< v1 only
-    std::uint64_t streamBytes_ = 0;     ///< v1 only
-    std::vector<TraceChunk> chunks_;    ///< v2 only, address chunks
+    std::vector<TraceChunk> chunks_;    ///< address chunks
 };
 
 /**
- * Decodes the stored address stream of a TraceFile, v1 or v2. next()
- * wraps to the stream start when the stored accesses run out (the
- * replay equivalent of a generator never running dry); compressed v2
+ * Decodes the stored address stream of a TraceFile, chunk by chunk.
+ * next() wraps to the stream start when the stored accesses run out
+ * (the replay equivalent of a generator never running dry); compressed
  * chunks are inflated into a reusable buffer as the cursor enters them.
  */
 class TraceCursor
@@ -186,7 +187,7 @@ class TraceCursor
     { rewind(); }
 
     /** Back to the first stored access. */
-    void rewind();
+    void rewind() { loadChunk(0); }
 
     /** Next address; wraps past the last stored access. */
     VirtAddr
@@ -208,7 +209,7 @@ class TraceCursor
 
     /** Inflated chunks kept for re-use (wrap) up to this total;
      *  past it, later chunks inflate into the scratch buffer on every
-     *  visit. Caching keeps looping replays as fast as v1 decode. */
+     *  visit. Caching keeps looping replays as fast as raw decode. */
     static constexpr std::uint64_t maxCachedBytes = 256ull << 20;
 
     const TraceFile &file_;
@@ -222,9 +223,9 @@ class TraceCursor
     const std::uint8_t *blockBase_ = nullptr;
     VirtAddr prevVa_ = 0;
     std::uint64_t remaining_ = 0;   ///< accesses left in current block
-    std::size_t chunkIdx_ = 0;      ///< v2: current chunk
-    std::vector<std::uint8_t> scratch_;   ///< v2: past-budget inflation
-    std::vector<std::vector<std::uint8_t>> cache_;  ///< v2: per chunk
+    std::size_t chunkIdx_ = 0;      ///< current chunk
+    std::vector<std::uint8_t> scratch_;   ///< past-budget inflation
+    std::vector<std::vector<std::uint8_t>> cache_;  ///< per chunk
     std::uint64_t cachedBytes_ = 0;
 };
 

@@ -178,10 +178,11 @@ Trc2Writer::finish()
     tail.append(trc2IndexMagic, sizeof(trc2IndexMagic));
     std::uint64_t storedAccesses = 0;
     for (const TraceChunk &chunk : chunks_) {
+        // The constructor's and flushChunk's bounds keep these in u32.
         put64(tail, chunk.offset);
-        put32(tail, chunk.storedBytes);
-        put32(tail, chunk.rawBytes);
-        put32(tail, chunk.accesses);
+        put32(tail, static_cast<std::uint32_t>(chunk.storedBytes));
+        put32(tail, static_cast<std::uint32_t>(chunk.rawBytes));
+        put32(tail, static_cast<std::uint32_t>(chunk.accesses));
         tail.push_back(static_cast<char>(chunk.codec));
         put64(tail, chunk.firstVa);
         storedAccesses += chunk.accesses;

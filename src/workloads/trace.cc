@@ -25,8 +25,7 @@ recordTrace(const WorkloadSpec &spec, const std::string &path,
     spec_error_if(!spec.tracePath.empty(),
              "recordTrace: %s is already trace-backed",
              spec.name.c_str());
-    spec_error_if(options.version != trc1Version &&
-                 options.version != trc2Version,
+    spec_error_if(options.version != trc2Version,
              "recordTrace: unknown container version %u",
              options.version);
 
@@ -40,91 +39,44 @@ recordTrace(const WorkloadSpec &spec, const std::string &path,
     system.setRecorder(&capture);
     workload->setup(system);
     system.setRecorder(nullptr);
-    const std::string ops = capture.take();
 
-    // A dynamic workload's OS events ride in the v2 container's
-    // event-op chunk. They are not *applied* while recording — the
-    // address stream never observes machine state, so the recorded
-    // stream equals the one a dynamic run draws — but a replay fires
-    // them at the same offsets, reproducing the dynamic run exactly.
+    // A dynamic workload's OS events ride in the event-op chunk. They
+    // are not *applied* while recording — the address stream never
+    // observes machine state, so the recorded stream equals the one a
+    // dynamic run draws — but a replay fires them at the same offsets,
+    // reproducing the dynamic run exactly.
     const OsEventStream *events = workload->events();
-    std::string eventOps;
-    if (events && !events->empty()) {
-        spec_error_if(options.version == trc1Version,
-                 "recordTrace: %s has an OS-event stream; record it "
-                 "with the ASAPTRC2 container (--v2)",
-                 spec.name.c_str());
-        eventOps = events->encode();
-    }
+    const std::string eventOps =
+        events && !events->empty() ? events->encode() : std::string();
 
-    std::unique_ptr<Trc2Writer> v2;
-    if (options.version == trc2Version) {
-        TraceHeader meta;
-        meta.name = spec.name;
-        meta.cyclesPerAccess = spec.cyclesPerAccess;
-        meta.paperGb = spec.paperGb;
-        meta.residentPages = spec.residentPages;
-        meta.machineMemBytes = spec.machineMemBytes;
-        meta.guestMemBytes = spec.guestMemBytes;
-        meta.churnOps = spec.churnOps;
-        meta.guestChurnOps = spec.guestChurnOps;
-        meta.churnMaxOrder = spec.churnMaxOrder;
-        meta.recordSeed = seed;
-        v2 = std::make_unique<Trc2Writer>(path, meta, ops, options.v2,
-                                          eventOps);
-    }
+    TraceHeader meta;
+    meta.name = spec.name;
+    meta.cyclesPerAccess = spec.cyclesPerAccess;
+    meta.paperGb = spec.paperGb;
+    meta.residentPages = spec.residentPages;
+    meta.machineMemBytes = spec.machineMemBytes;
+    meta.guestMemBytes = spec.guestMemBytes;
+    meta.churnOps = spec.churnOps;
+    meta.guestChurnOps = spec.guestChurnOps;
+    meta.churnMaxOrder = spec.churnMaxOrder;
+    meta.recordSeed = seed;
+    Trc2Writer writer(path, meta, capture.take(), options.v2, eventOps);
 
     // Draw the stream exactly as Simulator::run does: one reset, then
     // sequential batched generation from the seeded Rng.
-    std::string stream;
     Rng rng(seed);
     workload->reset(rng);
-    VirtAddr prev = 0;
     VirtAddr batch[1024];
     std::uint64_t left = accesses;
     while (left > 0) {
         const std::size_t n =
             left < 1024 ? static_cast<std::size_t>(left) : 1024;
         workload->nextBatch(rng, batch, n);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (v2) {
-                v2->add(batch[i]);
-            } else {
-                putVarint(stream,
-                          zigzag(static_cast<std::int64_t>(batch[i]) -
-                                 static_cast<std::int64_t>(prev)));
-                prev = batch[i];
-            }
-        }
+        for (std::size_t i = 0; i < n; ++i)
+            writer.add(batch[i]);
         left -= n;
     }
-
-    if (v2) {
-        v2->finish();
-        return;
-    }
-
-    std::string out;
-    out.append(trc1Magic, sizeof(trc1Magic));
-    put32(out, trc1Version);
-    put32(out, 0);
-    putString(out, spec.name);
-    put32(out, spec.cyclesPerAccess);
-    put64(out, doubleToBits(spec.paperGb));
-    put64(out, spec.residentPages);
-    put64(out, spec.machineMemBytes);
-    put64(out, spec.guestMemBytes);
-    put64(out, spec.churnOps);
-    put64(out, spec.guestChurnOps);
-    put32(out, spec.churnMaxOrder);
-    put64(out, seed);
-    put64(out, ops.size());
-    out.append(ops);
-    put64(out, accesses);
-    put64(out, stream.size());
-    out.append(stream);
-
-    writeFileOrThrow(path, out);
+    writer.finish();
 }
 
 WorkloadSpec

@@ -15,41 +15,15 @@
  * bit-identical to running its source generator live — RunStats and all
  * — while decoupling the simulator from how the stream was produced.
  *
- * Two container formats exist and the replayer accepts both
- * transparently:
- *   - ASAPTRC1: one monolithic zigzag-varint delta stream (format
- *     documented below; written by recordTrace's default).
- *   - ASAPTRC2 (src/trace/): chunked delta blocks with a seekable
- *     end-of-file index, optional per-chunk deflate compression and a
- *     sampled-stream mode. External traces (DynamoRIO memtrace,
- *     ChampSim, text) convert into it via src/trace/importer.hh and
- *     tools/trace_convert.
- *
- * ASAPTRC1 layout (little-endian):
- *
- *   magic     "ASAPTRC1" (8 bytes)
- *   u32       version (1)
- *   u32       reserved (0)
- *   str       workload name            (u32 length + bytes)
- *   u32       computeCyclesPerAccess
- *   f64       paperDatasetGb
- *   u64       residentPages            (informational)
- *   u64       machineMemBytes          \
- *   u64       guestMemBytes             | System sizing so a trace
- *   u64       churnOps                  | carries its own environment
- *   u64       guestChurnOps             | requirements (see traceSpec)
- *   u32       churnMaxOrder            /
- *   u64       recordSeed               (seed the stream was drawn with)
- *   u64       opBytes, then the setup op stream
- *             (src/trace/setup_capture.hh encoding)
- *   u64       accessCount
- *   u64       streamBytes, then the address stream: one
- *             zigzag-varint delta per access (previous VA starts at 0)
- *
- * Varints are LEB128; zigzag maps signed deltas to unsigned. Sequential
- * prefaults collapse to one touch run and typical address deltas fit in
- * 2-4 bytes, so traces stay a few bytes per access. The reader mmaps
- * the file and decodes on the fly — replay is cheaper than generation.
+ * Recordings use the ASAPTRC2 container (src/trace/, layout in
+ * src/trace/trace_file.hh): chunked zigzag-varint delta blocks,
+ * deflated where that shrinks them, behind an end-of-file index.
+ * Sequential prefaults collapse to one touch run and typical address
+ * deltas fit in 2-4 bytes, so traces stay a few bytes per access. The
+ * reader mmaps the file and decodes on the fly — replay is cheaper
+ * than generation. It also reads legacy ASAPTRC1 files. External
+ * traces (DynamoRIO memtrace, ChampSim, text) convert into ASAPTRC2
+ * via src/trace/importer.hh and tools/trace_convert.
  */
 
 #ifndef ASAP_WORKLOADS_TRACE_HH
@@ -71,8 +45,7 @@ namespace asap
 class System;
 
 /**
- * Replays a recorded trace (either container version) through the
- * Workload interface.
+ * Replays a recorded trace through the Workload interface.
  *
  * setup() re-executes the recorded mmap/touch sequence; next()/
  * nextBatch() decode the recorded address stream, wrapping around when
@@ -153,11 +126,13 @@ class TraceReplayWorkload : public Workload
     OsEventStream events_;
 };
 
-/** Options for recordTrace: container version (and v2 knobs). */
+/** Options for recordTrace. */
 struct RecordOptions
 {
-    unsigned version = trc1Version;
-    Trc2Options v2;   ///< used when version == trc2Version
+    /** Must be trc2Version, the only container written; any other value
+     *  is a spec_error. Kept for callers that still set it. */
+    unsigned version = trc2Version;
+    Trc2Options v2;   ///< chunking, compression and sampling
 };
 
 /**

@@ -594,10 +594,8 @@ TEST(DynTrace, RecordReplayBitIdentical)
     }
 
     const std::string path = "dyn_roundtrip.trc2";
-    RecordOptions options;
-    options.version = trc2Version;
     recordTrace(spec, path, run.seed,
-                run.warmupAccesses + run.measureAccesses, options);
+                run.warmupAccesses + run.measureAccesses);
 
     {
         TraceFile trace(path);
@@ -649,21 +647,10 @@ TEST(DynTrace, RecordReplayBitIdentical)
 TEST(DynTrace, StaticV2TraceHasNoEventOps)
 {
     const std::string path = "dyn_static.trc2";
-    RecordOptions options;
-    options.version = trc2Version;
-    recordTrace(tinySpec(), path, 7, 50'000, options);
+    recordTrace(tinySpec(), path, 7, 50'000);
     TraceFile trace(path);
     EXPECT_FALSE(trace.hasEventOps());
     TraceReplayWorkload replay(path);
     EXPECT_EQ(replay.events(), nullptr);
     std::remove(path.c_str());
-}
-
-TEST(DynTrace, RecordingDynamicWorkloadToV1Fatals)
-{
-    const WorkloadSpec spec =
-        withDynamics(tinySpec(), "server", 1.0, 5'000);
-    testutil::expectStatusError(
-        [&] { recordTrace(spec, "dyn_v1.trc1", 7, 50'000); },
-        StatusCode::InvalidArgument, "ASAPTRC2");
 }

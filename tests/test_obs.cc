@@ -209,9 +209,9 @@ TEST(TraceSink, ChromeJsonParsesBack)
 TEST(Registry, SnapshotKeepsRegistrationOrder)
 {
     obs::Registry registry;
-    registry.add("b.second", [] { return std::uint64_t{2}; });
-    registry.add("a.first", [] { return std::uint64_t{1}; });
-    const auto snapshot = registry.snapshot();
+    registry.add("b.second", 2);
+    registry.add("a.first", 1);
+    const obs::Counters &snapshot = registry.snapshot();
     ASSERT_EQ(snapshot.size(), 2u);
     EXPECT_EQ(snapshot[0].first, "b.second");
     EXPECT_EQ(snapshot[0].second, 2u);
@@ -222,10 +222,24 @@ TEST(Registry, SnapshotKeepsRegistrationOrder)
 TEST(Registry, DuplicateNamePanics)
 {
     obs::Registry registry;
-    registry.add("tlb.lookups", [] { return std::uint64_t{1}; });
-    EXPECT_DEATH(registry.add("tlb.lookups",
-                              [] { return std::uint64_t{2}; }),
-                 "duplicate counter");
+    registry.add("tlb.lookups", 1);
+    EXPECT_DEATH(registry.add("tlb.lookups", 2), "duplicate counter");
+}
+
+/** addCounters sums lists position by position; lists of different
+ *  length, or with one differing name, come from different
+ *  configurations and panic instead of summing unrelated columns. */
+TEST(Registry, AddCountersMergesPositionallyAndPanicsOnMismatch)
+{
+    obs::Counters sum;
+    obs::addCounters(sum, {{"a", 1}, {"b", 2}});
+    obs::addCounters(sum, {{"a", 10}, {"b", 20}});
+    EXPECT_EQ(sum, (obs::Counters{{"a", 11}, {"b", 22}}));
+
+    EXPECT_DEATH(obs::addCounters(sum, {{"a", 1}}),
+                 "counter lists differ \\(2 vs 1\\)");
+    EXPECT_DEATH(obs::addCounters(sum, {{"a", 1}, {"c", 2}}),
+                 "counter 1 name mismatch \\(b vs c\\)");
 }
 
 namespace

@@ -17,6 +17,7 @@
 
 #include "expect_status.hh"
 #include "golden_scenarios.hh"
+#include "legacy_trace.hh"
 #include "sim/environment.hh"
 #include "workloads/suite.hh"
 #include "workloads/trace.hh"
@@ -232,11 +233,14 @@ TEST(TraceFormat, StreamShorterThanAccessCountIsFatal)
 
 /** A stream byte with its varint continuation bit forced on makes the
  *  last delta run past the section end: the decoder must fatal() when
- *  it gets there, not read on. */
+ *  it gets there, not read on. An ASAPTRC1 file ends with its stream,
+ *  so the flipped byte is the stream's last. */
 TEST(TraceFormat, CorruptStreamVarintIsFatal)
 {
+    const TempTrace recorded("trace_varint_rec.asaptrace");
     const TempTrace valid("trace_varint_src.asaptrace");
-    recordTrace(smallSpec(), valid.path(), 7, 200);
+    recordTrace(smallSpec(), recorded.path(), 7, 200);
+    testutil::writeLegacyTrace(recorded.path(), valid.path());
 
     std::string bytes;
     {
@@ -267,6 +271,59 @@ TEST(TraceFormat, CorruptStreamVarintIsFatal)
     };
     testutil::expectStatusError(decodeEverything,
                                 "truncated varint|exceeds 64 bits");
+}
+
+/** ASAPTRC2 is the only container recordTrace writes; asking for any
+ *  other version is a spec error, not a silent ASAPTRC2 file. */
+TEST(TraceFormat, RecordingRejectsOtherVersions)
+{
+    RecordOptions options;
+    options.version = 1;
+    testutil::expectStatusError(
+        [&] {
+            recordTrace(smallSpec(), "trace_bad_version.asaptrace", 7,
+                        200, options);
+        },
+        StatusCode::InvalidArgument, "unknown container version 1");
+}
+
+/** A legacy ASAPTRC1 file loads as one raw chunk and replays exactly
+ *  like the recording it was written from: the same addresses through
+ *  the wrap, and the same RunStats. */
+TEST(TraceFormat, LegacyV1LoadsAsOneChunk)
+{
+    const TempTrace recorded("trace_legacy_rec.asaptrace");
+    const TempTrace legacy("trace_legacy_v1.asaptrace");
+    constexpr std::size_t count = 1'000;
+    RecordOptions options;
+    options.v2.chunkAccesses = 128;
+    recordTrace(smallSpec(), recorded.path(), 7, count, options);
+    testutil::writeLegacyTrace(recorded.path(), legacy.path());
+
+    const TraceFile file(legacy.path());
+    EXPECT_EQ(file.version(), 1u);
+    ASSERT_EQ(file.chunks().size(), 1u);
+    EXPECT_EQ(file.chunks()[0].accesses, count);
+    EXPECT_EQ(file.header().accessCount, count);
+    EXPECT_EQ(file.header().representedAccesses, count);
+    EXPECT_EQ(file.header().chunkAccesses, 0u);
+    EXPECT_GT(TraceFile(recorded.path()).chunks().size(), 1u);
+
+    // 2.5 laps cross both wraps of the one-chunk stream.
+    EXPECT_EQ(replayAddresses(legacy.path(), count * 5 / 2),
+              replayAddresses(recorded.path(), count * 5 / 2));
+
+    RunConfig run;
+    run.warmupAccesses = 300;
+    run.measureAccesses = 2'000;
+    run.seed = 7;
+    const EnvironmentOptions env;
+    const MachineConfig machine;
+    expectStatsEqual(
+        golden::flatten(runFresh(traceSpec(recorded.path()), env,
+                                 machine, run)),
+        golden::flatten(runFresh(traceSpec(legacy.path()), env, machine,
+                                 run)));
 }
 
 TEST(TraceReplay, StreamMatchesGenerator)

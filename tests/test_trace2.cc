@@ -1,10 +1,10 @@
 /**
  * @file
- * ASAPTRC2 container tests: v1 -> v2 conversion identity and replay
- * equivalence (the acceptance bar: bit-identical RunStats across both
- * containers, in more than one environment), direct v2 recording,
- * sampled-stream mode, and corruption handling of the chunk index /
- * footer / compressed payloads.
+ * ASAPTRC2 container tests: conversion identity (from a legacy
+ * ASAPTRC1 file and between chunkings) and replay equivalence (the
+ * acceptance bar: bit-identical RunStats against the live generator,
+ * in more than one environment), sampled-stream mode, and corruption
+ * handling of the chunk index / footer / compressed payloads.
  */
 
 #include <cstdio>
@@ -15,6 +15,7 @@
 
 #include "expect_status.hh"
 #include "golden_scenarios.hh"
+#include "legacy_trace.hh"
 #include "sim/environment.hh"
 #include "trace/convert.hh"
 #include "workloads/suite.hh"
@@ -129,15 +130,18 @@ corruptCopy(const std::string &src, const std::string &dst,
 
 } // namespace
 
-/** v1 -> v2 conversion preserves the header, the setup ops and every
- *  address of the stream, compressed or not. */
+/** Legacy ASAPTRC1 -> ASAPTRC2 conversion preserves the header, the
+ *  setup ops and every address of the stream, compressed or not. */
 TEST(Trc2Convert, ConversionIdentity)
 {
+    const TempTrace recorded("trc2_identity_rec.trc2");
     const TempTrace v1("trc2_identity.trc1");
     const TempTrace v2("trc2_identity.trc2");
     const TempTrace v2raw("trc2_identity_raw.trc2");
     const TempTrace v2again("trc2_identity_again.trc2");
-    recordTrace(smallSpec(), v1.path(), /*seed=*/11, /*accesses=*/5'000);
+    recordTrace(smallSpec(), recorded.path(), /*seed=*/11,
+                /*accesses=*/5'000);
+    testutil::writeLegacyTrace(recorded.path(), v1.path());
 
     Trc2Options options;
     options.chunkAccesses = 512;
@@ -149,13 +153,15 @@ TEST(Trc2Convert, ConversionIdentity)
     options.compress = true;
     convertToV2(v2.path(), v2again.path(), options);
 
-    const std::vector<VirtAddr> reference = decodeAll(v1.path());
+    const std::vector<VirtAddr> reference = decodeAll(recorded.path());
+    EXPECT_EQ(decodeAll(v1.path()), reference);
     EXPECT_EQ(decodeAll(v2.path()), reference);
     EXPECT_EQ(decodeAll(v2raw.path()), reference);
     EXPECT_EQ(decodeAll(v2again.path()), reference);
 
     const TraceFile a(v1.path());
     const TraceFile b(v2.path());
+    EXPECT_EQ(a.version(), 1u);
     EXPECT_EQ(b.version(), 2u);
     EXPECT_EQ(b.header().name, a.header().name);
     EXPECT_EQ(b.header().accessCount, a.header().accessCount);
@@ -174,19 +180,19 @@ TEST(Trc2Convert, ConversionIdentity)
     EXPECT_EQ(spec.tracePath, v2.path());
 }
 
-/** Recording straight to v2 yields the same stream as recording v1. */
-TEST(Trc2Convert, DirectV2RecordMatchesV1)
+/** Two chunkings of one recording decode to the same stream. */
+TEST(Trc2Convert, RechunkedRecordingDecodesIdentically)
 {
-    const TempTrace v1("trc2_direct.trc1");
-    const TempTrace v2("trc2_direct.trc2");
-    recordTrace(smallSpec(), v1.path(), 7, 3'000);
+    const TempTrace whole("trc2_direct_whole.trc2");
+    const TempTrace chunked("trc2_direct_chunked.trc2");
+    recordTrace(smallSpec(), whole.path(), 7, 3'000);
     RecordOptions options;
-    options.version = trc2Version;
     options.v2.chunkAccesses = 777;
-    recordTrace(smallSpec(), v2.path(), 7, 3'000, options);
+    recordTrace(smallSpec(), chunked.path(), 7, 3'000, options);
 
-    EXPECT_EQ(decodeAll(v2.path()), decodeAll(v1.path()));
-    const TraceFile file(v2.path());
+    EXPECT_EQ(decodeAll(chunked.path()), decodeAll(whole.path()));
+    EXPECT_EQ(TraceFile(whole.path()).chunks().size(), 1u);
+    const TraceFile file(chunked.path());
     EXPECT_EQ(file.version(), 2u);
     EXPECT_EQ(file.chunks().size(), (3'000 + 776) / 777u);
 }
@@ -195,18 +201,18 @@ TEST(Trc2Convert, DirectV2RecordMatchesV1)
  *  chunking and keeps the represented total for scaling. */
 TEST(Trc2Convert, SampledStream)
 {
-    const TempTrace v1("trc2_sampled.trc1");
+    const TempTrace recorded("trc2_sampled_src.trc2");
     const TempTrace v2("trc2_sampled.trc2");
     constexpr std::uint64_t accesses = 4'000;
     constexpr std::uint32_t chunk = 128;
     constexpr std::uint32_t interval = 4;
-    recordTrace(smallSpec(), v1.path(), 5, accesses);
+    recordTrace(smallSpec(), recorded.path(), 5, accesses);
     Trc2Options options;
     options.chunkAccesses = chunk;
     options.sampleInterval = interval;
-    convertToV2(v1.path(), v2.path(), options);
+    convertToV2(recorded.path(), v2.path(), options);
 
-    const std::vector<VirtAddr> reference = decodeAll(v1.path());
+    const std::vector<VirtAddr> reference = decodeAll(recorded.path());
     std::vector<VirtAddr> expected;
     for (std::uint64_t at = 0; at < accesses; at += chunk) {
         if ((at / chunk) % interval != 0)
@@ -238,12 +244,12 @@ TEST(Trc2Convert, SampledStream)
  *  decode, never read out of bounds. */
 TEST(Trc2Corruption, FooterIndexAndPayload)
 {
-    const TempTrace v1("trc2_corrupt.trc1");
+    const TempTrace recorded("trc2_corrupt_src.trc2");
     const TempTrace v2("trc2_corrupt.trc2");
-    recordTrace(smallSpec(), v1.path(), 7, 2'000);
+    recordTrace(smallSpec(), recorded.path(), 7, 2'000);
     Trc2Options options;
     options.chunkAccesses = 512;
-    convertToV2(v1.path(), v2.path(), options);
+    convertToV2(recorded.path(), v2.path(), options);
 
     const TraceFile valid(v2.path());
     const std::uint64_t fileBytes = valid.fileBytes();
@@ -294,11 +300,11 @@ TEST(Trc2Corruption, FooterIndexAndPayload)
 }
 
 /**
- * The acceptance bar: a trace recorded as ASAPTRC1 and converted to
- * ASAPTRC2 (compressed) replays with bit-identical RunStats for every
- * workload of the standard suite — and in two structurally different
- * golden environments (native baseline and virtualized 2D) for the
- * suite's first workload.
+ * The acceptance bar: a recorded trace re-containered as compressed
+ * ASAPTRC2 replays with bit-identical RunStats for every workload of
+ * the standard suite — and in two structurally different golden
+ * environments (native baseline and virtualized 2D) for the suite's
+ * first workload.
  */
 TEST(Trc2Replay, RoundTripAllSuiteWorkloads)
 {
@@ -312,11 +318,12 @@ TEST(Trc2Replay, RoundTripAllSuiteWorkloads)
     for (const WorkloadSpec &full : standardSuite()) {
         SCOPED_TRACE(full.name);
         const WorkloadSpec spec = scaledDown(full, 64);
-        const TempTrace v1("trc2_roundtrip_" + full.name + ".trc1");
+        const TempTrace recorded("trc2_roundtrip_" + full.name +
+                                 "_src.trc2");
         const TempTrace v2("trc2_roundtrip_" + full.name + ".trc2");
-        recordTrace(spec, v1.path(), run.seed,
+        recordTrace(spec, recorded.path(), run.seed,
                     run.warmupAccesses + run.measureAccesses);
-        convertToV2(v1.path(), v2.path(), Trc2Options{});
+        convertToV2(recorded.path(), v2.path(), Trc2Options{});
         const WorkloadSpec replay = traceSpec(v2.path());
 
         const EnvironmentOptions native;
@@ -342,21 +349,21 @@ TEST(Trc2Replay, RoundTripAllSuiteWorkloads)
 /** The library-level round-trip checker the CLI --verify runs. */
 TEST(Trc2Replay, ReplayStatsMatchHelper)
 {
-    const TempTrace v1("trc2_verify.trc1");
+    const TempTrace recorded("trc2_verify_src.trc2");
     const TempTrace v2("trc2_verify.trc2");
-    recordTrace(scaledDown(mcfSpec(), 64), v1.path(), 7, 12'000);
-    convertToV2(v1.path(), v2.path(), Trc2Options{});
+    recordTrace(scaledDown(mcfSpec(), 64), recorded.path(), 7, 12'000);
+    convertToV2(recorded.path(), v2.path(), Trc2Options{});
 
     std::string report;
-    EXPECT_TRUE(replayStatsMatch(v1.path(), v2.path(), 2'000, 10'000,
-                                 report))
+    EXPECT_TRUE(replayStatsMatch(recorded.path(), v2.path(), 2'000,
+                                 10'000, report))
         << report;
 
     // A different workload's trace must NOT match (sanity that the
     // checker can fail).
-    const TempTrace other("trc2_verify_other.trc1");
+    const TempTrace other("trc2_verify_other.trc2");
     recordTrace(scaledDown(cannealSpec(), 64), other.path(), 7, 12'000);
-    EXPECT_FALSE(replayStatsMatch(v1.path(), other.path(), 2'000,
+    EXPECT_FALSE(replayStatsMatch(recorded.path(), other.path(), 2'000,
                                   10'000, report));
     EXPECT_FALSE(report.empty());
 }

@@ -5,10 +5,12 @@
  *   make_fuzz_corpus [outdir]        (default fuzz/corpus)
  *
  * writes small valid inputs for each fuzz target —
- * outdir/trace_file/ gets one seed per container shape (ASAPTRC1,
- * raw/compressed/sampled ASAPTRC2, ASAPTRC2 with an OS-event chunk)
- * and outdir/importers/ one seed per importer format. Valid seeds are
- * what a mutating fuzzer wants; it derives the broken variants itself.
+ * outdir/trace_file/ gets one seed per ASAPTRC2 shape (raw, compressed,
+ * sampled, with an OS-event chunk) and outdir/importers/ one seed per
+ * importer format. Valid seeds are what a mutating fuzzer wants; it
+ * derives the broken variants itself. The checked-in
+ * trace_file/v1_small.asaptrace is the legacy ASAPTRC1 seed, a
+ * container this tool cannot write.
  *
  * Every seed is deterministic (fixed specs and seeds), so rerunning
  * the tool reproduces the corpus byte-for-byte and a diff in CI means
@@ -126,14 +128,9 @@ writeTraceSeeds(const std::string &dir)
 {
     const WorkloadSpec spec = seedSpec();
 
-    recordTrace(spec, dir + "/v1_small.asaptrace", /*seed=*/11,
-                /*accesses=*/400);
-    std::printf("  %-28s (ASAPTRC1)\n", "v1_small.asaptrace");
-
     // Small chunks so a few hundred accesses still span several chunks
     // (multi-chunk decode, index walk, chunk re-basing).
     RecordOptions raw;
-    raw.version = trc2Version;
     raw.v2.chunkAccesses = 128;
     raw.v2.compress = false;
     const std::string rawPath = dir + "/v2_raw.asaptrace";
@@ -160,7 +157,6 @@ writeTraceSeeds(const std::string &dir)
                 "v2_sampled.asaptrace");
 
     RecordOptions events;
-    events.version = trc2Version;
     events.v2.chunkAccesses = 256;
     events.v2.compress = false;
     recordTrace(withDynamics(spec, "tenants", 1.0, 300),

@@ -3,7 +3,7 @@
  * Trace-ingestion CLI: convert between the ASAP containers and import
  * external captures (see src/trace/).
  *
- *   trace_convert in.asaptrace out.trc2                # v1 -> v2
+ *   trace_convert in.asaptrace out.trc2                # re-container
  *   trace_convert in.asaptrace out.trc2 --sample 1/8   # sampled stream
  *   trace_convert mem.log out.trc2 --from text         # import
  *   trace_convert champ.bin out.trc2 --from champsim --name mcached
@@ -42,7 +42,7 @@ usage(const char *argv0)
         "usage: %s <in> <out> [options]\n"
         "       %s --stats <in>\n"
         "\n"
-        "Converts an ASAP trace (either container version) or an\n"
+        "Converts an ASAP trace (ASAPTRC2 or legacy ASAPTRC1) or an\n"
         "external capture into the chunked ASAPTRC2 container.\n"
         "\n"
         "  --from FMT      input format (default: auto-detect):\n"

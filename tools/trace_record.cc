@@ -9,9 +9,9 @@
  *
  * The recorded stream is exactly what Simulator::run would draw from
  * the generator with the same seed, so a replay over the same access
- * count reproduces the live run's RunStats bit-for-bit. The default
- * container is ASAPTRC1; --v2 records the chunked (and compressed)
- * ASAPTRC2 directly — equivalent to piping through trace_convert.
+ * count reproduces the live run's RunStats bit-for-bit. The file is a
+ * chunked, compressed ASAPTRC2 container; trace_convert re-chunks or
+ * samples it.
  */
 
 #include <cstdio>
@@ -41,7 +41,7 @@ usage(const char *argv0)
         "  <workload>      a suite workload name (mcf, canneal, bfs,\n"
         "                  pagerank, mc80, mc400, redis), optionally\n"
         "                  with an OS-dynamics profile (mcf@tenants,\n"
-        "                  mc80@server — requires --v2)\n"
+        "                  mc80@server)\n"
         "  --seed N        stream seed (default 7, the RunConfig default)\n"
         "  --accesses N    addresses to record (default: the default\n"
         "                  RunConfig's warmup+measure count)\n"
@@ -51,7 +51,6 @@ usage(const char *argv0)
         "                  scaling (exactly what ASAP_QUICK=1 applies,\n"
         "                  never both) and the quick-run access count\n"
         "                  (150k, the perf_hotpath --quick run length)\n"
-        "  --v2            write the chunked ASAPTRC2 container\n"
         "\n"
         "ASAP_QUICK=1 applies the standard quick-mode scaling, matching\n"
         "what an Environment would run (and shrinking the default\n"
@@ -72,7 +71,6 @@ run(int argc, char **argv)
     std::uint64_t accesses = 0;
     unsigned scale = 1;
     bool quick = false;
-    RecordOptions record;
     for (int i = 3; i < argc; ++i) {
         if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
             seed = std::strtoull(argv[++i], nullptr, 0);
@@ -83,8 +81,6 @@ run(int argc, char **argv)
             scale = static_cast<unsigned>(std::atoi(argv[++i]));
         } else if (std::strcmp(argv[i], "--quick") == 0) {
             quick = true;
-        } else if (std::strcmp(argv[i], "--v2") == 0) {
-            record.version = trc2Version;
         } else {
             return usage(argv[0]);
         }
@@ -119,7 +115,7 @@ run(int argc, char **argv)
         }
     }
 
-    recordTrace(recorded, path, seed, accesses, record);
+    recordTrace(recorded, path, seed, accesses);
 
     struct stat st;
     const std::uint64_t fileBytes =
