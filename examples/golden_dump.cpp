@@ -1,12 +1,15 @@
 /**
  * @file
  * Regenerates the golden RunStats literals for tests/test_sim.cc
- * (suite Golden). Run after an *intentional* model change and paste the
- * emitted tables over the existing ones; hot-path refactors must NOT
- * need a regeneration — that is the point of the golden tests.
+ * (suite Golden), or with --systems the System digests for
+ * tests/test_system.cc (suite SystemDigest). Run after an *intentional*
+ * model change and paste the emitted tables over the existing ones;
+ * hot-path refactors must NOT need a regeneration — that is the point
+ * of the golden tests.
  */
 
 #include <cstdio>
+#include <cstring>
 
 #include "../tests/golden_scenarios.hh"
 
@@ -60,11 +63,34 @@ printExpect(const std::string &name, const Expect &e)
                 static_cast<unsigned long>(e.hostIssued));
 }
 
+void
+printSystemDigests()
+{
+    std::printf("const std::map<std::string, golden::SystemDigest> "
+                "expected = {\n");
+    for (const SystemShape &shape : systemShapes()) {
+        const SystemDigest d = buildAndDigest(shape);
+        std::printf("    {\"%s\",\n     {0x%016lx, 0x%016lx, 0x%016lx,\n"
+                    "      0x%016lx, 0x%016lx}},\n",
+                    shape.name.c_str(),
+                    static_cast<unsigned long>(d.pageTables),
+                    static_cast<unsigned long>(d.layout),
+                    static_cast<unsigned long>(d.counters),
+                    static_cast<unsigned long>(d.growth),
+                    static_cast<unsigned long>(d.frames));
+    }
+    std::printf("};\n");
+}
+
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    if (argc > 1 && std::strcmp(argv[1], "--systems") == 0) {
+        printSystemDigests();
+        return 0;
+    }
     std::printf("const std::map<std::string, golden::Expect> expected = {\n");
     for (const Scenario &scenario : goldenScenarios())
         printExpect(scenario.name, flatten(runScenario(scenario)));

@@ -227,6 +227,289 @@ flattenDyn(const RunStats &stats)
             d.regionFramesReleased};
 }
 
+// ---------------------------------------------------------------------------
+// System digests: where every frame of a built System landed.
+//
+// RunStats depend on frame placement only through cache indexing, so a
+// placement change can hide behind a lucky Golden. The digests pin the
+// placement itself: every page-table entry in slab order, the VMA and
+// ASAP-region layout, the OS counters, a relocating region growth, and
+// the allocation order the buddy free lists hand out next.
+// ---------------------------------------------------------------------------
+
+/** Order-sensitive 64-bit FNV-1a accumulator. */
+class Fnv
+{
+  public:
+    void
+    add(std::uint64_t value)
+    {
+        for (unsigned byte = 0; byte < 8; ++byte)
+            mix(static_cast<std::uint8_t>(value >> (8 * byte)));
+    }
+
+    void
+    add(const std::string &text)
+    {
+        add(text.size());
+        for (const char c : text)
+            mix(static_cast<std::uint8_t>(c));
+    }
+
+    std::uint64_t value() const { return hash_; }
+
+  private:
+    void
+    mix(std::uint8_t byte)
+    {
+        hash_ = (hash_ ^ byte) * 0x100000001b3ull;
+    }
+
+    std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+/** One built System, split so a mismatch says which part moved. */
+struct SystemDigest
+{
+    std::uint64_t pageTables;   ///< every app and host slab node
+    std::uint64_t layout;       ///< VMAs, ASAP regions, descriptors
+    std::uint64_t counters;     ///< registerCounters + host space counts
+    std::uint64_t growth;       ///< after growing and touching the heaps
+    std::uint64_t frames;       ///< the next 4096 allocations per buddy
+
+    bool
+    operator==(const SystemDigest &other) const
+    {
+        return pageTables == other.pageTables && layout == other.layout &&
+               counters == other.counters && growth == other.growth &&
+               frames == other.frames;
+    }
+};
+
+/** A workload build pinned by a SystemDigest. */
+struct SystemShape
+{
+    std::string name;
+    WorkloadSpec spec;
+    EnvironmentOptions env;
+};
+
+/**
+ * Every suite workload at quick size x {native, virt} x {placement off,
+ * on}, plus the three environment variants that change how faults are
+ * served: 2MB host pages, pinned pages with region holes, and 5-level
+ * tables.
+ */
+inline std::vector<SystemShape>
+systemShapes()
+{
+    std::vector<SystemShape> shapes;
+    for (const WorkloadSpec &full : standardSuite()) {
+        const WorkloadSpec spec = scaledDown(full, quickScaleDivisor);
+        for (const bool virtualized : {false, true}) {
+            for (const bool asap : {false, true}) {
+                SystemShape shape;
+                shape.name = spec.name + (virtualized ? "_virt" : "_native") +
+                             (asap ? "_asap" : "");
+                shape.spec = spec;
+                shape.env.virtualized = virtualized;
+                shape.env.asapPlacement = asap;
+                shapes.push_back(shape);
+            }
+        }
+    }
+    const WorkloadSpec mcf = scaledDown(mcfSpec(), quickScaleDivisor);
+
+    SystemShape hugePages{"mcf_virt_asap_hosthuge", mcf, {}};
+    hugePages.env.virtualized = true;
+    hugePages.env.asapPlacement = true;
+    hugePages.env.hostHugePages = true;
+    shapes.push_back(hugePages);
+
+    SystemShape pinned{"mcf_native_asap_pinned_holes", mcf, {}};
+    pinned.env.asapPlacement = true;
+    pinned.env.pinnedProb = 0.3;
+    pinned.env.holeFraction = 0.2;
+    shapes.push_back(pinned);
+
+    SystemShape fiveLevel{"mcf_virt_asap_5level", mcf, {}};
+    fiveLevel.env.virtualized = true;
+    fiveLevel.env.asapPlacement = true;
+    fiveLevel.env.ptLevels = 5;
+    fiveLevel.env.hostPtLevels = 5;
+    shapes.push_back(fiveLevel);
+    return shapes;
+}
+
+inline void
+digestPageTable(Fnv &fnv, const PageTable &pt)
+{
+    const std::uint64_t slab = pt.nodeCount() + pt.deadNodeCount();
+    fnv.add(slab);
+    for (std::uint64_t index = 0; index < slab; ++index) {
+        const PtNode &node = pt.nodeAt(static_cast<PtNodeIndex>(index));
+        fnv.add(node.pfn);
+        fnv.add(node.level);
+        fnv.add(node.populated);
+        for (unsigned slot = 0; slot < entriesPerNode; ++slot) {
+            fnv.add(node.entries[slot].raw());
+            fnv.add(node.children[slot]);
+        }
+    }
+}
+
+inline void
+digestVmas(Fnv &fnv, const AddressSpace &space)
+{
+    for (const Vma *vma : space.vmas().all()) {
+        fnv.add(vma->id);
+        fnv.add(vma->start);
+        fnv.add(vma->end);
+        fnv.add(vma->name);
+        fnv.add(vma->prefetchable);
+        fnv.add(vma->touchedPages);
+    }
+}
+
+inline void
+digestRegions(Fnv &fnv, const AsapPtAllocator *asap)
+{
+    if (!asap)
+        return;
+    for (const AsapPtAllocator::Region *region : asap->regions()) {
+        fnv.add(region->vmaId);
+        fnv.add(region->level);
+        fnv.add(region->vaBase);
+        fnv.add(region->vaEnd);
+        fnv.add(region->basePfn);
+        fnv.add(region->slots);
+        fnv.add(region->backedSlots);
+        fnv.add(region->usedSlots);
+    }
+    fnv.add(asap->reservedFrames());
+    fnv.add(asap->fallbackAllocs());
+    fnv.add(asap->regionAllocs());
+    fnv.add(asap->failedReservations());
+    fnv.add(asap->holesCreatedByGrowth());
+    fnv.add(asap->framesRelocatedForGrowth());
+}
+
+inline void
+digestDescriptors(Fnv &fnv, const std::vector<VmaDescriptor> &descriptors)
+{
+    for (const VmaDescriptor &d : descriptors) {
+        fnv.add(d.start);
+        fnv.add(d.end);
+        for (const LevelDescriptor &level : d.levels) {
+            fnv.add(level.valid);
+            fnv.add(level.level);
+            fnv.add(level.vaBase);
+            fnv.add(level.basePa);
+        }
+    }
+}
+
+inline void
+digestLayout(Fnv &fnv, System &system)
+{
+    digestVmas(fnv, system.appSpace());
+    digestRegions(fnv, system.appAsapAllocator());
+    digestDescriptors(fnv, system.appDescriptors());
+    if (system.virtualized()) {
+        digestVmas(fnv, system.hostSpace());
+        digestRegions(fnv, system.hostAsapAllocator());
+        digestDescriptors(fnv, system.hostDescriptors());
+    }
+}
+
+inline std::uint64_t
+digestCounters(System &system)
+{
+    Fnv fnv;
+    obs::Registry registry;
+    system.registerCounters(registry);
+    for (const auto &[name, value] : registry.snapshot()) {
+        fnv.add(name);
+        fnv.add(value);
+    }
+    if (system.virtualized()) {
+        fnv.add(system.hostSpace().pageFaults());
+        fnv.add(system.hostSpace().touchedPages());
+        fnv.add(system.hostSpace().relocations());
+    }
+    return fnv.value();
+}
+
+/** The next 4096 single-frame allocations, then the free-list summary. */
+inline void
+digestAllocations(Fnv &fnv, BuddyAllocator &buddy)
+{
+    for (unsigned i = 0; i < 4096; ++i)
+        fnv.add(buddy.allocFrame());
+    fnv.add(buddy.freeFrames());
+    fnv.add(static_cast<std::uint64_t>(buddy.largestFreeOrder() + 1));
+    fnv.add(buddy.fragmentationPermille());
+}
+
+/**
+ * Digest a built System. Destructive: after the static parts are
+ * hashed, every prefetchable VMA grows by 64MB (relocating movable data
+ * frames out of the way of its ASAP regions) and faults 1024 pages of
+ * the new tail, and then each buddy hands out 4096 frames.
+ */
+inline SystemDigest
+digestSystem(System &system)
+{
+    SystemDigest digest{};
+    Fnv pageTables;
+    digestPageTable(pageTables, system.appPt());
+    if (system.virtualized())
+        digestPageTable(pageTables, system.hostPt());
+    digest.pageTables = pageTables.value();
+
+    Fnv layout;
+    digestLayout(layout, system);
+    digest.layout = layout.value();
+    digest.counters = digestCounters(system);
+
+    std::vector<std::pair<std::uint64_t, VirtAddr>> heaps;
+    for (const Vma *vma : system.appSpace().vmas().all()) {
+        if (vma->prefetchable)
+            heaps.emplace_back(vma->id, vma->end);
+    }
+    Fnv growth;
+    for (const auto &[id, oldEnd] : heaps) {
+        const bool grown = system.extendVma(id, 64_MiB);
+        growth.add(grown);
+        if (!grown)
+            continue;
+        for (std::uint64_t page = 0; page < 1024; ++page)
+            system.touch(oldEnd + page * pageSize);
+    }
+    digestPageTable(growth, system.appPt());
+    if (system.virtualized())
+        digestPageTable(growth, system.hostPt());
+    digestLayout(growth, system);
+    growth.add(digestCounters(system));
+    digest.growth = growth.value();
+
+    Fnv frames;
+    digestAllocations(frames, system.machineFrames());
+    if (system.virtualized())
+        digestAllocations(frames, system.appSpace().frames());
+    digest.frames = frames.value();
+    return digest;
+}
+
+/** Build @p shape the way Environment does, minus ASAP_QUICK. */
+inline SystemDigest
+buildAndDigest(const SystemShape &shape)
+{
+    System system(makeSystemConfig(shape.spec, shape.env));
+    makeWorkload(shape.spec)->setup(system);
+    return digestSystem(system);
+}
+
 } // namespace asap::golden
 
 #endif // ASAP_TESTS_GOLDEN_SCENARIOS_HH
