@@ -12,11 +12,13 @@
 #include "mem/hierarchy.hh"
 #include "os/buddy_allocator.hh"
 #include "os/pt_allocators.hh"
+#include "sim/environment.hh"
 #include "sim/machine.hh"
 #include "sim/system.hh"
 #include "tlb/tlb.hh"
 #include "walk/pwc.hh"
 #include "walk/walker.hh"
+#include "workloads/suite.hh"
 
 using namespace asap;
 
@@ -70,6 +72,46 @@ BM_BuddyAllocFree(benchmark::State &state)
     }
 }
 BENCHMARK(BM_BuddyAllocFree);
+
+/** Buddy churn as a long-uptime machine's System construction runs it:
+ *  random orders 0..4 over 8 GiB, half the blocks held. */
+static void
+BM_BuddyChurn(benchmark::State &state)
+{
+    constexpr std::uint64_t ops = 100'000;
+    for (auto _ : state) {
+        BuddyAllocator buddy(8_GiB >> pageShift);
+        Rng rng(7);
+        buddy.churn(rng, ops, 4);
+        benchmark::DoNotOptimize(buddy.freeFrames());
+    }
+    state.SetItemsProcessed(state.iterations() * ops);
+}
+BENCHMARK(BM_BuddyChurn)->Unit(benchmark::kMillisecond);
+
+/**
+ * One environment's System at quick size: construction (buddy churn
+ * included) plus the workload's prefault — the layer simbench reports
+ * only as os.system_build_s and os.prefault_ns_per_page.
+ */
+static void
+BM_SystemBuild(benchmark::State &state, const char *name, bool virtualized)
+{
+    const WorkloadSpec spec =
+        scaledDown(*specByName(name), quickScaleDivisor);
+    EnvironmentOptions options;
+    options.virtualized = virtualized;
+    for (auto _ : state) {
+        System system(makeSystemConfig(spec, options));
+        makeWorkload(spec)->setup(system);
+        benchmark::DoNotOptimize(system.appSpace().pageFaults());
+    }
+    state.SetItemsProcessed(state.iterations() * spec.residentPages);
+}
+BENCHMARK_CAPTURE(BM_SystemBuild, mcf, "mcf", false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SystemBuild, mc80_virt, "mc80", true)
+    ->Unit(benchmark::kMillisecond);
 
 static void
 BM_ZipfNext(benchmark::State &state)

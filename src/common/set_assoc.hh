@@ -29,11 +29,23 @@
  *
  * An invalid way is all-zero: key 0 (real keys are biased by +1 when
  * stored, see keyFor — no address-derived key collides), tick 0,
- * unspecified payload. A freshly calloc'ed array therefore *is* the
+ * unspecified payload. A freshly zeroed array therefore *is* the
  * flushed state, which keeps construction and flush at zero-page speed
  * instead of writing sentinel patterns over megabytes. The tick counter
  * is renormalized on the (practically unreachable) 32-bit wrap,
  * preserving LRU order for arbitrarily long runs.
+ *
+ * Arrays of populateBytes or more (in practice the multi-MB LLC) are
+ * mapped pre-faulted (mapZeroPages with populate). A lazily zeroed
+ * array takes a read fault and then a write fault per page as the
+ * simulation first reaches each set: 2,560 faults per native_asap run
+ * for the paper LLC, about 4% of simbench's sim_rate. Heap calloc hid
+ * that only while the per-frame OS arrays sat on the heap and had
+ * raised glibc's mmap threshold, so that calloc reused already-faulted
+ * chunks. A related dead end on the OS side: reserving a page table's
+ * slab to a prefault range's exact size made the first node a tenant
+ * created at run time reallocate the whole slab (8,000 extra faults
+ * inside simbench's tenant_churn simulation, -7% sim_rate).
  *
  * Replacement policy — the combined scan every structure always used:
  *   1. a way whose key matches (plus an optional payload predicate for
@@ -56,6 +68,7 @@
 #include <new>
 
 #include "common/types.hh"
+#include "common/zero_pages.hh"
 
 namespace asap
 {
@@ -114,15 +127,19 @@ class SetAssoc
         setMask_ = sets - 1;
         count_ = sets * ways;
         bytes_ = count_ * sizeof(Way);
-        // calloc: zero pages from the kernel, faulted on first touch —
-        // the all-zero state is the flushed state, so constructing a
-        // machine does not write the whole (multi-MB for the LLC)
-        // array. (Huge-page-advised mmap backing was tried here and
+        // The all-zero state is the flushed state, so constructing a
+        // machine writes nothing; big arrays come pre-faulted (file
+        // comment). (Huge-page-advised mmap backing was tried here and
         // lost: the 2MB first-touch zeroing costs more than the host
         // TLB misses it saves at these array sizes.)
-        store_ = static_cast<Way *>(std::calloc(count_, sizeof(Way)));
-        if (!store_)
-            throw std::bad_alloc();
+        if (bytes_ >= populateBytes) {
+            store_ = static_cast<Way *>(mapZeroPages(bytes_,
+                                                     /*populate=*/true));
+        } else {
+            store_ = static_cast<Way *>(std::calloc(count_, sizeof(Way)));
+            if (!store_)
+                throw std::bad_alloc();
+        }
         tick_ = 0;
     }
 
@@ -347,9 +364,15 @@ class SetAssoc
     void
     release()
     {
-        std::free(store_);
+        if (bytes_ >= populateBytes)
+            unmapZeroPages(store_, bytes_);
+        else
+            std::free(store_);
         store_ = nullptr;
     }
+
+    /** Arrays this big are mapped pre-faulted (file comment). */
+    static constexpr std::size_t populateBytes = std::size_t{1} << 20;
 
     std::uint64_t sets_ = 0;
     unsigned ways_ = 0;

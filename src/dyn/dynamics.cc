@@ -69,13 +69,13 @@ OsDynamics::apply(const OsEvent &event, OsDynStats &stats, Cycles now)
         const VirtAddr base = event.handle != noOsHandle
                                   ? vma->start + event.addr
                                   : event.addr;
-        for (std::uint64_t page = 0; page < event.pages; ++page) {
-            const VirtAddr va = base + page * pageSize;
-            if (va >= vma->end)
-                break;
-            system_.touch(va);
-            ++stats.minorFaults;
-        }
+        // Clamped to the VMA end; one minor fault per page.
+        const std::uint64_t pages =
+            base < vma->end
+                ? std::min(event.pages, ceilDiv(vma->end - base, pageSize))
+                : 0;
+        system_.touchRange(base, pages);
+        stats.minorFaults += pages;
         break;
       }
       case OsEventKind::MadviseFree: {

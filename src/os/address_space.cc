@@ -11,10 +11,9 @@ AddressSpace::AddressSpace(BuddyAllocator &frames,
                            PtNodeAllocator &ptAllocator,
                            const AddressSpaceConfig &config)
     : frames_(frames), config_(config), pt_(ptAllocator, config.ptLevels),
+      reverseMap_(frames.totalFrames()), pinned_(frames.totalFrames()),
       pinRng_(config.seed), nextMmap_(config.mmapBase)
 {
-    reverseMap_.assign(frames.totalFrames(), noReverse);
-    pinned_.assign(frames.totalFrames(), 0);
 }
 
 void
@@ -88,7 +87,7 @@ AddressSpace::unmapRange(Vma &vma, VirtAddr start, VirtAddr end)
         if (t->leafLevel == 1) {
             const Pfn frame = t->pfn;
             pt_.unmap(va);
-            reverseMap_[frame] = noReverse;
+            reverseMap_[frame] = 0;
             pinned_[frame] = 0;
             frames_.freeFrame(frame);
             ++counts.dataPagesFreed;
@@ -142,39 +141,59 @@ AddressSpace::madviseFree(VirtAddr start, std::uint64_t nPages)
 }
 
 AddressSpace::TouchResult
-AddressSpace::touch(VirtAddr va)
+AddressSpace::touchRange(VirtAddr start, std::uint64_t pages)
 {
-    Vma *vma = vmas_.find(va);
-    panic_if(!vma, "touch outside any VMA: %#lx", va);
+    TouchResult result;
+    VirtAddr va = start;
+    while (pages > 0) {
+        Vma *vma = vmas_.find(va);
+        panic_if(!vma, "touch outside any VMA: %#lx", va);
+        const std::uint64_t run =
+            std::min(pages, ceilDiv(vma->end - va, pageSize));
+        pages -= run;
 
-    if (auto t = pt_.lookup(va))
-        return {false, *t};
+        if (!config_.hugePages) {
+            // Page fault: demand allocation (Section 3.7.1).
+            const Translation last = pt_.populate(
+                va, run,
+                [&](VirtAddr pageVa) {
+                    const Pfn frame = frames_.allocFrame();
+                    fatal_if(frame == invalidPfn,
+                             "out of physical memory for %#lx", pageVa);
+                    reverseMap_[frame] = alignDown(pageVa, pageSize) + 1;
+                    if (config_.pinnedProb > 0.0 &&
+                        pinRng_.chance(config_.pinnedProb)) {
+                        pinned_[frame] = 1;
+                    }
+                    ++pageFaults_;
+                    ++vma->touchedPages;
+                    ++touchedPages_;
+                    return frame;
+                },
+                result.faulted);
+            result.translation = last;
+            va += run * pageSize;
+            continue;
+        }
 
-    // Page fault: demand allocation (Section 3.7.1).
-    ++pageFaults_;
-    if (config_.hugePages) {
-        const VirtAddr base = alignDown(va, levelSpan(2));
-        const Pfn block = frames_.allocBlock(levelBits);
-        fatal_if(block == invalidPfn,
-                 "out of physical memory (2MB page for %#lx)", va);
-        pt_.map(base, block, /*leafLevel=*/2);
-        vma->touchedPages += entriesPerNode;
-        touchedPages_ += entriesPerNode;
-    } else {
-        const Pfn frame = frames_.allocFrame();
-        fatal_if(frame == invalidPfn, "out of physical memory for %#lx",
-                 va);
-        pt_.map(va, frame, /*leafLevel=*/1);
-        reverseMap_[frame] = alignDown(va, pageSize);
-        if (config_.pinnedProb > 0.0 && pinRng_.chance(config_.pinnedProb))
-            pinned_[frame] = 1;
-        ++vma->touchedPages;
-        ++touchedPages_;
+        // 2MB pages: one fault maps the whole 2MB page, so each page
+        // first checks whether an earlier one already did.
+        for (std::uint64_t i = 0; i < run; ++i, va += pageSize) {
+            result.faulted = !pt_.lookup(va);
+            if (result.faulted) {
+                ++pageFaults_;
+                const Pfn block = frames_.allocBlock(levelBits);
+                fatal_if(block == invalidPfn,
+                         "out of physical memory (2MB page for %#lx)", va);
+                pt_.map(alignDown(va, levelSpan(2)), block,
+                        /*leafLevel=*/2);
+                vma->touchedPages += entriesPerNode;
+                touchedPages_ += entriesPerNode;
+            }
+            result.translation = *pt_.lookup(va);
+        }
     }
-
-    auto t = pt_.lookup(va);
-    panic_if(!t, "mapping vanished for %#lx", va);
-    return {true, *t};
+    return result;
 }
 
 std::optional<Translation>
@@ -211,15 +230,15 @@ AddressSpace::relocateFrame(Pfn pfn)
 {
     if (pinned_[pfn])
         return false;
-    const VirtAddr va = reverseMap_[pfn];
-    if (va == noReverse)
+    if (reverseMap_[pfn] == 0)
         return false;           // not a movable data page (e.g. PT node)
+    const VirtAddr va = reverseMap_[pfn] - 1;
     const Pfn newFrame = frames_.allocFrame();
     if (newFrame == invalidPfn)
         return false;
     pt_.map(va, newFrame, 1);   // overwrite the leaf with the new frame
-    reverseMap_[pfn] = noReverse;
-    reverseMap_[newFrame] = va;
+    reverseMap_[pfn] = 0;
+    reverseMap_[newFrame] = va + 1;
     frames_.freeFrame(pfn);
     ++relocations_;
     return true;

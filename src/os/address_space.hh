@@ -27,6 +27,7 @@
 
 #include "common/rng.hh"
 #include "common/types.hh"
+#include "common/zero_pages.hh"
 #include "os/buddy_allocator.hh"
 #include "os/pt_allocators.hh"
 #include "os/vma.hh"
@@ -110,7 +111,18 @@ class AddressSpace : public FrameRelocator
      * Ensure @p va is mapped (allocating on first touch) and return its
      * translation. The address must fall inside an existing VMA.
      */
-    TouchResult touch(VirtAddr va);
+    TouchResult touch(VirtAddr va) { return touchRange(va, 1); }
+
+    /**
+     * touch() each of @p pages pages from @p start on, in page order,
+     * with one VMA lookup per VMA and one page-table descent per PL1
+     * node (PageTable::populate). Frames, counters and pin draws come
+     * out exactly as from the per-page loop; a range running into an
+     * unmapped gap panics at the gap's first page, as touch() does.
+     * 2MB-page spaces fault page by page. @return the last page's
+     * result.
+     */
+    TouchResult touchRange(VirtAddr start, std::uint64_t pages);
 
     /** Functional translation without faulting. */
     std::optional<Translation> translate(VirtAddr va) const;
@@ -153,14 +165,13 @@ class AddressSpace : public FrameRelocator
     std::vector<VmaObserver *> observers_;
 
     /**
-     * data frame -> base VA of the page mapped there (movable pages).
-     * Dense array indexed by frame number: footprints run into millions
-     * of pages and a hash map would dominate the simulator's memory.
+     * data frame -> base VA of the page mapped there, plus one (movable
+     * pages). 0 means no data page: page-aligned VAs never make va + 1
+     * zero, and the host space does map VA (gPA) 0. Zero pages indexed
+     * by frame number, like pinned_, so untouched frames cost nothing.
      */
-    std::vector<VirtAddr> reverseMap_;
-    std::vector<std::uint8_t> pinned_;
-
-    static constexpr VirtAddr noReverse = ~VirtAddr{0};
+    ZeroPageArray<VirtAddr> reverseMap_;
+    ZeroPageArray<std::uint8_t> pinned_;
 
     Rng pinRng_;
     VirtAddr nextMmap_;

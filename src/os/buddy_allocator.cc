@@ -9,13 +9,16 @@ namespace asap
 {
 
 BuddyAllocator::BuddyAllocator(std::uint64_t totalFrames, unsigned maxOrder)
-    : totalFrames_(totalFrames), maxOrder_(maxOrder)
+    : totalFrames_(totalFrames), maxOrder_(maxOrder),
+      freeFrames_(totalFrames), listHead_(maxOrder + 1, noBlock),
+      listCount_(maxOrder + 1, 0), links_(totalFrames),
+      freeHead_(totalFrames), allocated_(ceilDiv(totalFrames, 64))
 {
     fatal_if(totalFrames == 0, "empty physical memory");
+    fatal_if(totalFrames >= noBlock,
+             "%lu frames overflow the free lists' 32-bit links",
+             totalFrames);
     fatal_if(maxOrder >= 40, "absurd max order %u", maxOrder);
-    freeStacks_.resize(maxOrder_ + 1);
-    freeSets_.resize(maxOrder_ + 1);
-    freeBitmap_.assign(totalFrames_, 0);
 
     // Cover [0, totalFrames) with maximal aligned blocks.
     Pfn pfn = 0;
@@ -26,7 +29,6 @@ BuddyAllocator::BuddyAllocator(std::uint64_t totalFrames, unsigned maxOrder)
                 pfn + (std::uint64_t{1} << order) > totalFrames_)) {
             --order;
         }
-        markFrames(pfn, std::uint64_t{1} << order, true);
         pushFree(pfn, order);
         pfn += std::uint64_t{1} << order;
     }
@@ -35,30 +37,37 @@ BuddyAllocator::BuddyAllocator(std::uint64_t totalFrames, unsigned maxOrder)
 void
 BuddyAllocator::pushFree(Pfn pfn, unsigned order)
 {
-    freeSets_[order].insert(pfn);
-    freeStacks_[order].push_back(pfn);
+    const std::uint32_t head = listHead_[order];
+    links_[pfn] = {head, noBlock};
+    if (head != noBlock)
+        links_[head].prev = static_cast<std::uint32_t>(pfn);
+    listHead_[order] = static_cast<std::uint32_t>(pfn);
+    ++listCount_[order];
+    freeHead_[pfn] = static_cast<std::uint8_t>(order + 1);
 }
 
 void
 BuddyAllocator::eraseFree(Pfn pfn, unsigned order)
 {
-    freeSets_[order].erase(pfn);
-    // The stack entry becomes stale and is skipped when popped.
+    const Links links = links_[pfn];
+    if (links.prev == noBlock)
+        listHead_[order] = links.next;
+    else
+        links_[links.prev].next = links.next;
+    if (links.next != noBlock)
+        links_[links.next].prev = links.prev;
+    --listCount_[order];
+    freeHead_[pfn] = 0;
 }
 
 Pfn
 BuddyAllocator::popFree(unsigned order)
 {
-    auto &stack = freeStacks_[order];
-    auto &set = freeSets_[order];
-    while (!stack.empty()) {
-        const Pfn pfn = stack.back();
-        stack.pop_back();
-        if (set.erase(pfn))
-            return pfn;
-        // stale entry: removed by eraseFree/coalescing, skip
-    }
-    return invalidPfn;
+    const std::uint32_t head = listHead_[order];
+    if (head == noBlock)
+        return invalidPfn;
+    eraseFree(head, order);
+    return head;
 }
 
 void
@@ -66,17 +75,45 @@ BuddyAllocator::markFrames(Pfn start, std::uint64_t count, bool free)
 {
     panic_if(start + count > totalFrames_,
              "frame range [%#lx,+%lu) out of bounds", start, count);
-    const std::uint8_t value = free ? 1 : 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        panic_if(freeBitmap_[start + i] == value,
-                 "frame %#lx double-%s", start + i,
+    const Pfn end = start + count;
+    for (Pfn pfn = start; pfn < end;) {
+        const unsigned bit = pfn % 64;
+        const std::uint64_t bits = std::min<std::uint64_t>(64 - bit,
+                                                           end - pfn);
+        const std::uint64_t mask =
+            (bits == 64 ? ~std::uint64_t{0}
+                        : (std::uint64_t{1} << bits) - 1) << bit;
+        std::uint64_t &word = allocated_[pfn / 64];
+        // Freeing needs every bit set, allocating every bit clear.
+        const std::uint64_t wrong = (free ? ~word : word) & mask;
+        panic_if(wrong != 0, "frame %#lx double-%s",
+                 pfn - bit + static_cast<unsigned>(__builtin_ctzll(wrong)),
                  free ? "free" : "alloc");
-        freeBitmap_[start + i] = value;
+        word ^= mask;
+        pfn += bits;
     }
     if (free)
         freeFrames_ += count;
     else
         freeFrames_ -= count;
+}
+
+bool
+BuddyAllocator::anyAllocated(Pfn start, std::uint64_t count) const
+{
+    const Pfn end = start + count;
+    for (Pfn pfn = start; pfn < end;) {
+        const unsigned bit = pfn % 64;
+        const std::uint64_t bits = std::min<std::uint64_t>(64 - bit,
+                                                           end - pfn);
+        const std::uint64_t mask =
+            (bits == 64 ? ~std::uint64_t{0}
+                        : (std::uint64_t{1} << bits) - 1) << bit;
+        if (allocated_[pfn / 64] & mask)
+            return true;
+        pfn += bits;
+    }
+    return false;
 }
 
 Pfn
@@ -85,13 +122,12 @@ BuddyAllocator::allocBlock(unsigned order)
     panic_if(order > maxOrder_, "allocBlock order %u > max %u", order,
              maxOrder_);
     unsigned from = order;
-    while (from <= maxOrder_ && freeSets_[from].empty())
+    while (from <= maxOrder_ && listCount_[from] == 0)
         ++from;
     if (from > maxOrder_)
         return invalidPfn;
 
-    Pfn pfn = popFree(from);
-    panic_if(pfn == invalidPfn, "free set/stack inconsistency");
+    const Pfn pfn = popFree(from);
     // Split down, returning upper halves to the free lists.
     while (from > order) {
         --from;
@@ -112,7 +148,7 @@ BuddyAllocator::freeBlock(Pfn pfn, unsigned order)
     while (order < maxOrder_) {
         const Pfn buddy = pfn ^ (std::uint64_t{1} << order);
         if (buddy + (std::uint64_t{1} << order) > totalFrames_ ||
-            !freeSets_[order].count(buddy)) {
+            !isFreeBlock(buddy, order)) {
             break;
         }
         eraseFree(buddy, order);
@@ -146,7 +182,7 @@ BuddyAllocator::findFreeBlockContaining(Pfn pfn, Pfn &blockStart) const
 {
     for (unsigned order = 0; order <= maxOrder_; ++order) {
         const Pfn start = pfn & ~((std::uint64_t{1} << order) - 1);
-        if (freeSets_[order].count(start)) {
+        if (isFreeBlock(start, order)) {
             blockStart = start;
             return static_cast<int>(order);
         }
@@ -177,12 +213,8 @@ bool
 BuddyAllocator::reserveRange(Pfn start, std::uint64_t nFrames)
 {
     panic_if(nFrames == 0, "reserveRange(0)");
-    if (start + nFrames > totalFrames_)
+    if (start + nFrames > totalFrames_ || anyAllocated(start, nFrames))
         return false;
-    for (std::uint64_t i = 0; i < nFrames; ++i) {
-        if (!freeBitmap_[start + i])
-            return false;
-    }
     // Remove every free block overlapping the range, re-inserting the
     // parts that stick out.
     Pfn cursor = start;
@@ -223,7 +255,7 @@ bool
 BuddyAllocator::isFree(Pfn pfn) const
 {
     panic_if(pfn >= totalFrames_, "isFree out of range");
-    return freeBitmap_[pfn];
+    return !anyAllocated(pfn, 1);
 }
 
 void
@@ -276,7 +308,7 @@ int
 BuddyAllocator::largestFreeOrder() const
 {
     for (int order = static_cast<int>(maxOrder_); order >= 0; --order) {
-        if (!freeSets_[static_cast<unsigned>(order)].empty())
+        if (listCount_[static_cast<unsigned>(order)] != 0)
             return order;
     }
     return -1;
@@ -289,33 +321,47 @@ BuddyAllocator::fragmentationPermille(unsigned order) const
         return 0;
     std::uint64_t usable = 0;
     for (unsigned o = order; o <= maxOrder_; ++o)
-        usable += freeSets_[o].size() << o;
+        usable += listCount_[o] << o;
     return 1000 - 1000 * usable / freeFrames_;
 }
 
 bool
 BuddyAllocator::checkConsistency() const
 {
-    std::uint64_t bitmapFree = 0;
-    for (const auto bit : freeBitmap_)
-        bitmapFree += bit;
-    if (bitmapFree != freeFrames_)
+    std::uint64_t allocatedFrames = 0;
+    for (std::uint64_t word = 0; word < allocated_.size(); ++word)
+        allocatedFrames += __builtin_popcountll(allocated_[word]);
+    if (totalFrames_ - allocatedFrames != freeFrames_)
         return false;
 
-    std::uint64_t setFree = 0;
+    // Every list is linked both ways, holds count blocks, and each
+    // block is marked as a head and wholly free.
+    std::uint64_t listedFrames = 0;
+    std::uint64_t listedBlocks = 0;
     for (unsigned order = 0; order <= maxOrder_; ++order) {
-        for (const Pfn pfn : freeSets_[order]) {
-            const std::uint64_t count = std::uint64_t{1} << order;
-            if (pfn + count > totalFrames_)
+        const std::uint64_t count = std::uint64_t{1} << order;
+        std::uint64_t blocks = 0;
+        std::uint32_t prev = noBlock;
+        for (std::uint32_t pfn = listHead_[order]; pfn != noBlock;
+             pfn = links_[pfn].next) {
+            if (++blocks > listCount_[order] || links_[pfn].prev != prev ||
+                !isFreeBlock(pfn, order) || pfn + count > totalFrames_ ||
+                anyAllocated(pfn, count)) {
                 return false;
-            for (std::uint64_t i = 0; i < count; ++i) {
-                if (!freeBitmap_[pfn + i])
-                    return false;
             }
-            setFree += count;
+            prev = pfn;
         }
+        if (blocks != listCount_[order])
+            return false;
+        listedFrames += blocks * count;
+        listedBlocks += blocks;
     }
-    return setFree == freeFrames_;
+
+    // No head mark outside the lists.
+    std::uint64_t marked = 0;
+    for (Pfn pfn = 0; pfn < totalFrames_; ++pfn)
+        marked += freeHead_[pfn] != 0;
+    return listedFrames == freeFrames_ && marked == listedBlocks;
 }
 
 } // namespace asap

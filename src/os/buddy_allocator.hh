@@ -15,17 +15,32 @@
  *  - reserveRange(start, n): in-place extension of an existing region
  *    when the VMA grows (Section 3.7.2) — succeeds only if the frames
  *    adjacent to the region are free.
+ *
+ * Free lists. Each order keeps an intrusive doubly-linked LIFO list
+ * threaded through per-frame links, plus a count; a per-frame byte
+ * holding order+1 marks the first frame of every free block, so the
+ * coalescing and containment checks are one byte load. The lists hand
+ * out blocks in exactly the order of the stack-with-lazy-deletion this
+ * model started with: that stack popped only live entries, and a
+ * block's live entry was always its topmost copy (a re-push lands
+ * above any stale one), so popping it equals popping the front of a
+ * list with O(1) unlink. tests/test_buddy.cc drives both side by side.
+ *
+ * Every per-frame array (allocated bits, links, head bytes) lives in
+ * zero pages (common/zero_pages.hh) and all-zero is the initial state:
+ * the bitmap records *allocated* frames, so a fresh allocator is all
+ * free without the constructor writing a per-frame byte.
  */
 
 #ifndef ASAP_OS_BUDDY_ALLOCATOR_HH
 #define ASAP_OS_BUDDY_ALLOCATOR_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hh"
 #include "common/types.hh"
+#include "common/zero_pages.hh"
 
 namespace asap
 {
@@ -108,23 +123,39 @@ class BuddyAllocator
      * usable for a contiguous 2^@p order-frame allocation (Linux's
      * "unusable free space index", scaled to integers). 0 = every
      * free frame sits in a block of at least that size; 1000 = no
-     * such block exists. Computed from the authoritative free sets —
+     * such block exists. Computed from the per-order free counts —
      * deterministic integer arithmetic, read-only. Default order 9 =
      * a 2MB region, the contiguity grain ASAP PT reservations and
      * huge pages both care about.
      */
     std::uint64_t fragmentationPermille(unsigned order = 9) const;
 
-    /** Internal consistency check (tests): bitmap matches free sets. */
+    /** Internal consistency check (tests): the free lists, head
+     *  marks and allocated bits agree. */
     bool checkConsistency() const;
 
   private:
+    /** List link meaning "no block". */
+    static constexpr std::uint32_t noBlock = ~std::uint32_t{0};
+
+    struct Links
+    {
+        std::uint32_t next;
+        std::uint32_t prev;
+    };
+
     void pushFree(Pfn pfn, unsigned order);
     void eraseFree(Pfn pfn, unsigned order);
-    /** Pop one valid block start from the order's stack; invalidPfn if
-     *  empty. */
+    /** Pop the order's most recently freed block; invalidPfn if empty. */
     Pfn popFree(unsigned order);
+    bool
+    isFreeBlock(Pfn pfn, unsigned order) const
+    {
+        return freeHead_[pfn] == order + 1;
+    }
     void markFrames(Pfn start, std::uint64_t count, bool free);
+    /** True iff any frame of [start, start + count) is allocated. */
+    bool anyAllocated(Pfn start, std::uint64_t count) const;
     /**
      * Find the free block containing @p pfn; returns its order or -1.
      * @p blockStart receives the block's first frame.
@@ -140,12 +171,16 @@ class BuddyAllocator
     unsigned maxOrder_;
     std::uint64_t freeFrames_ = 0;
 
-    /** LIFO stacks (may contain stale entries) + authoritative sets. */
-    std::vector<std::vector<Pfn>> freeStacks_;
-    std::vector<std::unordered_set<Pfn>> freeSets_;
+    /** Per-order list head (noBlock when empty) and block count. */
+    std::vector<std::uint32_t> listHead_;
+    std::vector<std::uint64_t> listCount_;
 
-    /** Per-frame free flag; authoritative for range queries. */
-    std::vector<std::uint8_t> freeBitmap_;
+    /** Per-frame list links, valid at free-block heads only. */
+    ZeroPageArray<Links> links_;
+    /** Per-frame order+1 at the first frame of a free block, else 0. */
+    ZeroPageArray<std::uint8_t> freeHead_;
+    /** One bit per frame, set while the frame is allocated. */
+    ZeroPageArray<std::uint64_t> allocated_;
 
     /** Blocks held live by churn() until releaseChurn() returns them. */
     std::vector<std::pair<Pfn, unsigned>> churnHeld_;

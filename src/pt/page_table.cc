@@ -54,11 +54,9 @@ PageTable::createNode(unsigned level, VirtAddr va)
     return index;
 }
 
-void
-PageTable::map(VirtAddr va, Pfn pfn, unsigned leafLevel)
+PtNodeIndex
+PageTable::ensurePath(VirtAddr va, unsigned leafLevel)
 {
-    panic_if(leafLevel < 1 || leafLevel > 3,
-             "unsupported leaf level %u", leafLevel);
     PtNodeIndex nodeIndex = rootIndex_;
     for (unsigned level = levels_; level > leafLevel; --level) {
         const unsigned slot = levelIndex(va, level);
@@ -76,7 +74,15 @@ PageTable::map(VirtAddr va, Pfn pfn, unsigned leafLevel)
                  va, level);
         nodeIndex = node.children[slot];
     }
-    PtNode &leafNode = slab_[nodeIndex];
+    return nodeIndex;
+}
+
+void
+PageTable::map(VirtAddr va, Pfn pfn, unsigned leafLevel)
+{
+    panic_if(leafLevel < 1 || leafLevel > 3,
+             "unsupported leaf level %u", leafLevel);
+    PtNode &leafNode = slab_[ensurePath(va, leafLevel)];
     Pte &leaf = leafNode.entries[levelIndex(va, leafLevel)];
     if (!leaf.present())
         ++leafNode.populated;
@@ -174,8 +180,8 @@ PageTable::lookup(VirtAddr va) const
     return std::nullopt;
 }
 
-const PtNode *
-PageTable::leafNodeOf(VirtAddr va) const
+PtNodeIndex
+PageTable::leafIndexOf(VirtAddr va) const
 {
     PtNodeIndex nodeIndex = rootIndex_;
     for (unsigned level = levels_; level > 1; --level) {
@@ -183,10 +189,17 @@ PageTable::leafNodeOf(VirtAddr va) const
         const unsigned slot = levelIndex(va, level);
         const Pte entry = node.entries[slot];
         if (!entry.present() || entry.isLeaf(level))
-            return nullptr;
+            return invalidPtNodeIndex;
         nodeIndex = node.children[slot];
     }
-    return &slab_[nodeIndex];
+    return nodeIndex;
+}
+
+const PtNode *
+PageTable::leafNodeOf(VirtAddr va) const
+{
+    const PtNodeIndex index = leafIndexOf(va);
+    return index == invalidPtNodeIndex ? nullptr : &slab_[index];
 }
 
 Pte

@@ -25,6 +25,7 @@
 #ifndef ASAP_PT_PAGE_TABLE_HH
 #define ASAP_PT_PAGE_TABLE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <optional>
@@ -125,6 +126,21 @@ class PageTable
      */
     void map(VirtAddr va, Pfn pfn, unsigned leafLevel = 1);
 
+    /**
+     * The range fault path: make each of @p pages pages from @p start
+     * on present, in page order, with one descent per PL1 node and the
+     * node's leaf entries walked in place. An absent page first calls
+     * @p fault(va) for its data frame; only then are the page's missing
+     * PT nodes created, top down. That is the order a per-page fault
+     * allocates in (data frame, then map()), so buddy and ASAP
+     * placement come out frame for frame the same. The range must not
+     * cross a huge leaf. @p faulted receives whether the last page
+     * faulted. @return the last page's translation.
+     */
+    template <typename Fault>
+    Translation populate(VirtAddr start, std::uint64_t pages, Fault &&fault,
+                         bool &faulted);
+
     /** Remove a mapping; intermediate nodes are retained (as in Linux). */
     void unmap(VirtAddr va);
 
@@ -219,6 +235,13 @@ class PageTable
 
   private:
     PtNodeIndex createNode(unsigned level, VirtAddr va);
+    /** Slab index of the PL1 node holding @p va's leaf entry, or
+     *  invalidPtNodeIndex when the path is absent or ends in a huge
+     *  leaf. */
+    PtNodeIndex leafIndexOf(VirtAddr va) const;
+    /** Create the missing nodes on @p va's path, top down; @return the
+     *  node at @p leafLevel holding its leaf entry. */
+    PtNodeIndex ensurePath(VirtAddr va, unsigned leafLevel);
     std::uint64_t pruneNode(PtNodeIndex nodeIndex, VirtAddr nodeBase,
                             VirtAddr start, VirtAddr end);
     void releaseNode(PtNodeIndex index);
@@ -237,6 +260,39 @@ class PageTable
     /** pfn -> slab index, maintained for the frame-keyed interface. */
     std::unordered_map<Pfn, PtNodeIndex> pfnToIndex_;
 };
+
+template <typename Fault>
+Translation
+PageTable::populate(VirtAddr start, std::uint64_t pages, Fault &&fault,
+                    bool &faulted)
+{
+    Translation last;
+    VirtAddr va = start;
+    while (pages > 0) {
+        PtNodeIndex leaf = leafIndexOf(va);
+        const unsigned first = levelIndex(va, 1);
+        const unsigned end = static_cast<unsigned>(std::min<std::uint64_t>(
+            entriesPerNode, first + pages));
+        for (unsigned slot = first; slot < end; ++slot, va += pageSize) {
+            faulted = leaf == invalidPtNodeIndex ||
+                      !slab_[leaf].entries[slot].present();
+            if (!faulted)
+                continue;
+            const Pfn pfn = fault(va);
+            if (leaf == invalidPtNodeIndex)
+                leaf = ensurePath(va, 1);
+            PtNode &node = slab_[leaf];
+            node.entries[slot] = Pte::make(pfn);
+            ++node.populated;
+        }
+        pages -= end - first;
+        const PtNode &node = slab_[leaf];
+        last.pfn = node.entries[end - 1].pfn();
+        last.leafLevel = 1;
+        last.pteAddr = entryPhysAddr(node.pfn, va - pageSize, 1);
+    }
+    return last;
+}
 
 } // namespace asap
 

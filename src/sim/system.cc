@@ -1,5 +1,7 @@
 #include "sim/system.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "core/descriptor_builder.hh"
 
@@ -218,29 +220,53 @@ System::backGuestAsapRegions(std::uint64_t vmaId)
 }
 
 AddressSpace::TouchResult
-System::touch(VirtAddr va)
+System::touchRange(VirtAddr start, std::uint64_t pages)
 {
-    if (recorder_)
-        recorder_->onTouch(va);
-    auto result = appSpace_->touch(va);
-    if (config_.virtualized) {
-        // Back the data page and every guest PT node on the walk path so
-        // measurement-phase walks never take host faults.
-        ensureBacked(result.translation.physAddrOf(alignDown(va,
-                                                             pageSize)));
-        const PageTable &pt = appSpace_->pageTable();
-        PtNodeIndex nodeIndex = pt.rootIndex();
-        for (unsigned level = pt.levels(); level >= 1; --level) {
-            const PtNode &node = pt.nodeAt(nodeIndex);
-            ensureBacked(static_cast<PhysAddr>(node.pfn) << pageShift);
-            const unsigned slot = levelIndex(va, level);
-            const Pte entry = node.entries[slot];
-            if (!entry.present() || entry.isLeaf(level))
-                break;
-            nodeIndex = node.children[slot];
+    if (recorder_) {
+        for (std::uint64_t i = 0; i < pages; ++i)
+            recorder_->onTouch(start + i * pageSize);
+    }
+    const AddressSpace::TouchResult result =
+        appSpace_->touchRange(start, pages);
+    if (config_.virtualized)
+        backGuestRange(start, pages);
+    return result;
+}
+
+void
+System::backGuestRange(VirtAddr start, std::uint64_t pages)
+{
+    // Back the data page and every guest PT node on the walk path so
+    // measurement-phase walks never take host faults. Guest and host
+    // allocate from different buddies, so backing after the whole
+    // guest range gives every host frame the per-page interleaving
+    // would. Per page: the data page, then the path root first, which
+    // only the first page of each guest PL1 node needs; the rest share
+    // an already-backed path.
+    const PageTable &pt = appSpace_->pageTable();
+    VirtAddr va = start;
+    while (pages > 0) {
+        const PtNode &leaf = *pt.leafNodeOf(va);
+        const unsigned first = levelIndex(va, 1);
+        const unsigned end = static_cast<unsigned>(std::min<std::uint64_t>(
+            entriesPerNode, first + pages));
+        pages -= end - first;
+        for (unsigned slot = first; slot < end; ++slot, va += pageSize) {
+            hostSpace_->touch(static_cast<PhysAddr>(leaf.entries[slot].pfn())
+                              << pageShift);
+            if (slot != first)
+                continue;
+            PtNodeIndex nodeIndex = pt.rootIndex();
+            for (unsigned level = pt.levels();; --level) {
+                const PtNode &node = pt.nodeAt(nodeIndex);
+                hostSpace_->touch(static_cast<PhysAddr>(node.pfn)
+                                  << pageShift);
+                if (level == 1)
+                    break;
+                nodeIndex = node.children[levelIndex(va, level)];
+            }
         }
     }
-    return result;
 }
 
 AddressSpace &
@@ -261,8 +287,7 @@ void
 System::ensureBacked(PhysAddr gpa)
 {
     panic_if(!hostSpace_, "ensureBacked on a native system");
-    if (!hostSpace_->translate(gpa))
-        hostSpace_->touch(gpa);
+    hostSpace_->touch(gpa);
 }
 
 PhysAddr

@@ -132,7 +132,19 @@ class System : public HostBacking
      * and its guest PT nodes in host memory). Used both for prefaulting
      * and for servicing faults during simulation.
      */
-    AddressSpace::TouchResult touch(VirtAddr va);
+    AddressSpace::TouchResult touch(VirtAddr va) { return touchRange(va, 1); }
+
+    /**
+     * touch() each of @p pages pages from @p start on, in page order:
+     * the prefault path. The guest side runs as one
+     * AddressSpace::touchRange; the host then backs, page by page, the
+     * data page and (once per guest PL1 node) the guest PT path. Every
+     * frame and counter comes out as from the per-page loop, and an
+     * attached SetupRecorder sees one onTouch per page. @return the
+     * last page's result.
+     */
+    AddressSpace::TouchResult touchRange(VirtAddr start,
+                                         std::uint64_t pages);
 
     /** The application's (guest's) address space. */
     AddressSpace &appSpace() { return *appSpace_; }
@@ -190,6 +202,8 @@ class System : public HostBacking
 
   private:
     void backGuestAsapRegions(std::uint64_t vmaId);
+    /** The host half of touchRange (see there). */
+    void backGuestRange(VirtAddr start, std::uint64_t pages);
 
     SystemConfig config_;
 

@@ -187,12 +187,21 @@ importTrace(const TraceImporter &importer, const std::string &inPath,
             region.pages() >= importOptions.prefetchableMinPages);
         region.newBase = system.appSpace().vmas().byId(id)->start;
         // Prefault exactly the touched pages, in ascending order (the
-        // demand-fault order a sequentially initialized region has).
+        // demand-fault order a sequentially initialized region has),
+        // one touchRange per run of consecutive pages.
         while (pageAt < pages.size() &&
                pages[pageAt] <= region.lastPage) {
-            system.touch(region.newBase +
-                         (pages[pageAt] - region.firstPage) * pageSize);
-            ++pageAt;
+            std::size_t runEnd = pageAt + 1;
+            while (runEnd < pages.size() &&
+                   pages[runEnd] == pages[runEnd - 1] + 1 &&
+                   pages[runEnd] <= region.lastPage) {
+                ++runEnd;
+            }
+            system.touchRange(region.newBase + (pages[pageAt] -
+                                                region.firstPage) *
+                                                   pageSize,
+                              runEnd - pageAt);
+            pageAt = runEnd;
         }
     }
     system.setRecorder(nullptr);

@@ -78,8 +78,7 @@ replaySetupOps(System &system, const std::uint8_t *cursor,
             system.mmap(bytes, name, prefetchable);
         },
         [&system](VirtAddr start, std::uint64_t length) {
-            for (std::uint64_t k = 0; k < length; ++k)
-                system.touch(start + k * pageSize);
+            system.touchRange(start, length);
         });
 }
 

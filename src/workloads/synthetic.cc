@@ -80,8 +80,7 @@ SyntheticWorkload::setup(System &system)
             /*prefetchable=*/true);
         region.start = system.appSpace().vmas().byId(region.vmaId)->start;
         regions_.push_back(region);
-        for (std::uint64_t p = 0; p < pages; ++p)
-            system.touch(region.start + p * pageSize);
+        system.touchRange(region.start, pages);
     }
 
     totalPages_ = spec_.residentPages;

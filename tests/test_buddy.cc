@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hh"
@@ -322,3 +325,332 @@ TEST_P(BuddyReserveProperty, ReservedAndAllocatedDisjoint)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BuddyReserveProperty,
                          ::testing::Values(11, 22, 33, 44));
+
+namespace
+{
+
+/**
+ * The free lists BuddyAllocator kept before its intrusive per-order
+ * lists: a LIFO stack per order with lazy deletion (stale entries are
+ * skipped when popped), an authoritative set per order, and a byte per
+ * frame. Kept verbatim in behaviour as the reference the lists must
+ * reproduce op for op.
+ */
+class StackBuddy
+{
+  public:
+    StackBuddy(std::uint64_t total, unsigned maxOrder)
+        : total_(total), maxOrder_(maxOrder), stacks_(maxOrder + 1),
+          sets_(maxOrder + 1), free_(total, 0)
+    {
+        for (Pfn pfn = 0; pfn < total_;) {
+            unsigned order = maxOrder_;
+            while (order > 0 && ((pfn & (size(order) - 1)) != 0 ||
+                                 pfn + size(order) > total_))
+                --order;
+            mark(pfn, size(order), true);
+            push(pfn, order);
+            pfn += size(order);
+        }
+    }
+
+    Pfn
+    allocBlock(unsigned order)
+    {
+        unsigned from = order;
+        while (from <= maxOrder_ && sets_[from].empty())
+            ++from;
+        if (from > maxOrder_)
+            return invalidPfn;
+        const Pfn pfn = pop(from);
+        while (from > order) {
+            --from;
+            push(pfn + size(from), from);
+        }
+        mark(pfn, size(order), false);
+        return pfn;
+    }
+
+    void
+    freeBlock(Pfn pfn, unsigned order)
+    {
+        mark(pfn, size(order), true);
+        while (order < maxOrder_) {
+            const Pfn buddy = pfn ^ size(order);
+            if (buddy + size(order) > total_ || !sets_[order].count(buddy))
+                break;
+            sets_[order].erase(buddy);
+            pfn = std::min(pfn, buddy);
+            ++order;
+        }
+        push(pfn, order);
+    }
+
+    Pfn
+    reserveContiguous(std::uint64_t n)
+    {
+        unsigned order = 0;
+        while (size(order) < n)
+            ++order;
+        if (order > maxOrder_)
+            return invalidPfn;
+        const Pfn pfn = allocBlock(order);
+        if (pfn != invalidPfn && size(order) > n)
+            freeRange(pfn + n, size(order) - n);
+        return pfn;
+    }
+
+    bool
+    reserveRange(Pfn start, std::uint64_t n)
+    {
+        if (start + n > total_)
+            return false;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            if (!free_[start + i])
+                return false;
+        }
+        for (Pfn cursor = start; cursor < start + n;) {
+            unsigned order = 0;
+            while (!sets_[order].count(cursor & ~(size(order) - 1)))
+                ++order;
+            const Pfn block = cursor & ~(size(order) - 1);
+            sets_[order].erase(block);
+            carve(block, order, start, start + n);
+            cursor = block + size(order);
+        }
+        mark(start, n, false);
+        return true;
+    }
+
+    void
+    freeRange(Pfn pfn, std::uint64_t n)
+    {
+        while (n > 0) {
+            unsigned order = maxOrder_;
+            while (order > 0 &&
+                   ((pfn & (size(order) - 1)) != 0 || size(order) > n))
+                --order;
+            freeBlock(pfn, order);
+            pfn += size(order);
+            n -= size(order);
+        }
+    }
+
+    void
+    churn(Rng &rng, std::uint64_t ops, unsigned maxChurnOrder, double hold)
+    {
+        std::vector<std::pair<Pfn, unsigned>> transient;
+        for (std::uint64_t i = 0; i < ops; ++i) {
+            const auto order =
+                static_cast<unsigned>(rng.below(maxChurnOrder + 1));
+            const Pfn pfn = allocBlock(order);
+            if (pfn == invalidPfn)
+                continue;
+            (rng.chance(hold) ? held_ : transient).emplace_back(pfn, order);
+            if (!transient.empty() && rng.chance(0.5)) {
+                const std::size_t idx = rng.below(transient.size());
+                freeBlock(transient[idx].first, transient[idx].second);
+                transient[idx] = transient.back();
+                transient.pop_back();
+            }
+        }
+        for (const auto &[pfn, order] : transient)
+            freeBlock(pfn, order);
+    }
+
+    std::uint64_t
+    releaseChurn(double fraction)
+    {
+        const auto release = static_cast<std::size_t>(std::min<double>(
+            static_cast<double>(held_.size()),
+            std::ceil(fraction * static_cast<double>(held_.size()))));
+        std::uint64_t frames = 0;
+        for (std::size_t i = 0; i < release; ++i) {
+            freeBlock(held_.back().first, held_.back().second);
+            frames += size(held_.back().second);
+            held_.pop_back();
+        }
+        return frames;
+    }
+
+    std::uint64_t freeFrames() const { return freeFrames_; }
+
+    int
+    largestFreeOrder() const
+    {
+        for (int order = static_cast<int>(maxOrder_); order >= 0; --order) {
+            if (!sets_[static_cast<unsigned>(order)].empty())
+                return order;
+        }
+        return -1;
+    }
+
+    std::uint64_t
+    fragmentationPermille(unsigned order) const
+    {
+        if (freeFrames_ == 0)
+            return 0;
+        std::uint64_t usable = 0;
+        for (unsigned o = order; o <= maxOrder_; ++o)
+            usable += sets_[o].size() << o;
+        return 1000 - 1000 * usable / freeFrames_;
+    }
+
+  private:
+    static std::uint64_t size(unsigned order)
+    {
+        return std::uint64_t{1} << order;
+    }
+
+    void
+    push(Pfn pfn, unsigned order)
+    {
+        sets_[order].insert(pfn);
+        stacks_[order].push_back(pfn);
+    }
+
+    Pfn
+    pop(unsigned order)
+    {
+        for (;;) {
+            const Pfn pfn = stacks_[order].back();
+            stacks_[order].pop_back();
+            if (sets_[order].erase(pfn))
+                return pfn;
+        }
+    }
+
+    void
+    mark(Pfn start, std::uint64_t n, bool free)
+    {
+        std::fill_n(free_.begin() + static_cast<std::ptrdiff_t>(start), n,
+                    free);
+        freeFrames_ = free ? freeFrames_ + n : freeFrames_ - n;
+    }
+
+    void
+    carve(Pfn block, unsigned order, Pfn lo, Pfn hi)
+    {
+        const Pfn end = block + size(order);
+        if (end <= lo || block >= hi) {
+            push(block, order);
+        } else if (block < lo || end > hi) {
+            carve(block, order - 1, lo, hi);
+            carve(block + size(order - 1), order - 1, lo, hi);
+        }
+    }
+
+    std::uint64_t total_;
+    unsigned maxOrder_;
+    std::uint64_t freeFrames_ = 0;
+    std::vector<std::vector<Pfn>> stacks_;
+    std::vector<std::unordered_set<Pfn>> sets_;
+    std::vector<std::uint8_t> free_;
+    std::vector<std::pair<Pfn, unsigned>> held_;
+};
+
+/** Drive @p ops seeded random operations through both allocators. */
+void
+expectSameAsStackReference(std::uint64_t frames, unsigned maxOrder,
+                           std::uint64_t seed, unsigned ops)
+{
+    BuddyAllocator lists(frames, maxOrder);
+    StackBuddy stack(frames, maxOrder);
+    Rng rng(seed);
+    std::vector<std::pair<Pfn, unsigned>> blocks;
+    std::vector<std::pair<Pfn, std::uint64_t>> ranges;
+    const unsigned maxAllocOrder = std::min(maxOrder, 6u);
+
+    for (unsigned op = 0; op < ops; ++op) {
+        SCOPED_TRACE(testing::Message() << "op " << op);
+        const std::uint64_t kind = rng.below(9);
+        if (kind <= 1) {
+            const auto order =
+                static_cast<unsigned>(rng.below(maxAllocOrder + 1));
+            const Pfn pfn = lists.allocBlock(order);
+            ASSERT_EQ(pfn, stack.allocBlock(order));
+            if (pfn != invalidPfn)
+                blocks.emplace_back(pfn, order);
+        } else if (kind == 2 && !blocks.empty()) {
+            const std::size_t idx = rng.below(blocks.size());
+            lists.freeBlock(blocks[idx].first, blocks[idx].second);
+            stack.freeBlock(blocks[idx].first, blocks[idx].second);
+            blocks[idx] = blocks.back();
+            blocks.pop_back();
+        } else if (kind == 3) {
+            const std::uint64_t n = 1 + rng.below(std::min<std::uint64_t>(
+                                            frames / 8, 300));
+            const Pfn pfn = lists.reserveContiguous(n);
+            ASSERT_EQ(pfn, stack.reserveContiguous(n));
+            if (pfn != invalidPfn)
+                ranges.emplace_back(pfn, n);
+        } else if (kind == 4) {
+            // A hit: the free run starting at the first free frame at
+            // or after a random one, capped at a random length.
+            Pfn start = rng.below(frames);
+            while (start < frames && !lists.isFree(start))
+                ++start;
+            const std::uint64_t cap = 1 + rng.below(64);
+            std::uint64_t n = 0;
+            while (n < cap && start + n < frames && lists.isFree(start + n))
+                ++n;
+            if (n == 0)
+                continue;
+            ASSERT_TRUE(lists.reserveRange(start, n));
+            ASSERT_TRUE(stack.reserveRange(start, n));
+            ranges.emplace_back(start, n);
+        } else if (kind == 5) {
+            // Usually a miss: a random run, often over allocated frames
+            // or past the end of memory.
+            const Pfn start = rng.below(frames);
+            const std::uint64_t n = 1 + rng.below(64);
+            const bool hit = lists.reserveRange(start, n);
+            ASSERT_EQ(hit, stack.reserveRange(start, n));
+            if (hit)
+                ranges.emplace_back(start, n);
+        } else if (kind == 6 && !ranges.empty()) {
+            const std::size_t idx = rng.below(ranges.size());
+            lists.freeRange(ranges[idx].first, ranges[idx].second);
+            stack.freeRange(ranges[idx].first, ranges[idx].second);
+            ranges[idx] = ranges.back();
+            ranges.pop_back();
+        } else if (kind == 7) {
+            const std::uint64_t churnOps = 1 + rng.below(64);
+            const auto churnOrder = static_cast<unsigned>(
+                rng.below(std::min(maxOrder, 4u) + 1));
+            const double hold = 0.25 * static_cast<double>(rng.below(4));
+            Rng listsRng(seed + op);
+            Rng stackRng(seed + op);
+            lists.churn(listsRng, churnOps, churnOrder, hold);
+            stack.churn(stackRng, churnOps, churnOrder, hold);
+        } else if (kind == 8) {
+            const double fraction = 0.25 * static_cast<double>(rng.below(5));
+            ASSERT_EQ(lists.releaseChurn(fraction),
+                      stack.releaseChurn(fraction));
+        }
+        ASSERT_EQ(lists.freeFrames(), stack.freeFrames());
+        ASSERT_EQ(lists.largestFreeOrder(), stack.largestFreeOrder());
+        for (unsigned order = 0; order <= 9; ++order) {
+            ASSERT_EQ(lists.fragmentationPermille(order),
+                      stack.fragmentationPermille(order))
+                << "order " << order;
+        }
+        ASSERT_TRUE(lists.checkConsistency());
+    }
+}
+
+} // namespace
+
+TEST(Buddy, FreeListOrderMatchesStackReference)
+{
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        expectSameAsStackReference(1000, 8, seed, 3000);
+        expectSameAsStackReference(std::uint64_t{1} << 16,
+                                   BuddyAllocator::defaultMaxOrder, seed,
+                                   1500);
+        expectSameAsStackReference(3 * (std::uint64_t{1} << 15),
+                                   BuddyAllocator::defaultMaxOrder, seed,
+                                   1500);
+    }
+}

@@ -1,7 +1,8 @@
 /**
  * @file
  * System construction and prefault: the digests that pin where every
- * frame of a built System lands (suite SystemDigest).
+ * frame of a built System lands (suite SystemDigest), and the range
+ * prefault path against the per-page one.
  */
 
 #include <map>
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "golden_scenarios.hh"
+#include "trace/setup_capture.hh"
 
 using namespace asap;
 
@@ -130,4 +132,119 @@ TEST(SystemDigest, SuiteBuildsMatchParent)
         EXPECT_EQ(got.growth, it->second.growth);
         EXPECT_EQ(got.frames, it->second.frames);
     }
+}
+
+namespace
+{
+
+/** The fault-serving shapes the range path must reproduce. */
+std::vector<std::pair<std::string, SystemConfig>>
+touchShapes()
+{
+    SystemConfig base;
+    base.machineMemBytes = 2_GiB;
+    base.guestMemBytes = 512_MiB;
+    base.churnOps = 2'000;
+    base.guestChurnOps = 2'000;
+    base.seed = 5;
+
+    SystemConfig virt = base;
+    virt.virtualized = true;
+    virt.asapPlacement = true;
+
+    SystemConfig hostHuge = virt;
+    hostHuge.hostHugePages = true;
+
+    SystemConfig pinned = base;
+    pinned.asapPlacement = true;
+    pinned.pinnedProb = 0.5;
+
+    SystemConfig fiveLevel = virt;
+    fiveLevel.ptLevels = 5;
+    fiveLevel.hostPtLevels = 5;
+
+    return {{"native", base},
+            {"virt", virt},
+            {"virt_hosthuge", hostHuge},
+            {"native_pinned", pinned},
+            {"virt_5level", fiveLevel}};
+}
+
+struct TouchOutcome
+{
+    std::string setupOps;
+    std::uint64_t faults = 0;
+    golden::SystemDigest digest{};
+};
+
+/**
+ * Build @p config, map a 2GiB heap plus two adjacent small VMAs, and
+ * touch a fixed list of runs — page by page, or one touchRange each.
+ */
+TouchOutcome
+buildAndTouch(const SystemConfig &config, bool ranged)
+{
+    System system(config);
+    SetupCapture capture;
+    system.setRecorder(&capture);
+    const std::uint64_t heap = system.mmap(2_GiB, "heap", true);
+    const VirtAddr base = system.appSpace().vmas().byId(heap)->start;
+    const VirtAddr pair = base + 8_GiB;
+    system.appSpace().mmapAt(pair, 64 * pageSize, "left");
+    system.appSpace().mmapAt(pair + 64 * pageSize, 64 * pageSize, "right");
+
+    const std::vector<std::pair<VirtAddr, std::uint64_t>> runs = {
+        {base, 1},                                // a single page
+        {base + 10 * pageSize, 40},               // inside one PL1 node
+        {base + 500 * pageSize, 30},              // across a PL1 boundary
+        {base + 1_GiB - 100 * pageSize, 200},     // across a PL2 boundary
+        {base + 5 * pageSize, 60},                // over touched pages
+        {base, 1100},                             // mostly touched
+        {base + 700 * pageSize + 0x123, 5},       // unaligned start
+        {pair + 60 * pageSize, 10},               // into the next VMA
+    };
+    for (const auto &[start, pages] : runs) {
+        if (ranged) {
+            system.touchRange(start, pages);
+        } else {
+            for (std::uint64_t i = 0; i < pages; ++i)
+                system.touch(start + i * pageSize);
+        }
+    }
+    system.setRecorder(nullptr);
+
+    TouchOutcome outcome;
+    outcome.setupOps = capture.take();
+    outcome.faults = system.appSpace().pageFaults();
+    outcome.digest = golden::digestSystem(system);
+    return outcome;
+}
+
+} // namespace
+
+TEST(System, TouchRangeMatchesPerPageTouch)
+{
+    for (const auto &[name, config] : touchShapes()) {
+        SCOPED_TRACE(name);
+        const TouchOutcome perPage = buildAndTouch(config, false);
+        const TouchOutcome ranged = buildAndTouch(config, true);
+        EXPECT_EQ(ranged.setupOps, perPage.setupOps);
+        EXPECT_EQ(ranged.faults, perPage.faults);
+        EXPECT_EQ(ranged.faults, 1'310u);   // distinct pages touched
+        EXPECT_TRUE(ranged.digest == perPage.digest);
+    }
+}
+
+TEST(SystemDeathTest, TouchRangeIntoGapPanicsLikeTouch)
+{
+    SystemConfig config;
+    config.machineMemBytes = 256_MiB;
+    System system(config);
+    const std::uint64_t id = system.mmap(16 * pageSize, "heap");
+    const VirtAddr start = system.appSpace().vmas().byId(id)->start;
+    const VirtAddr gap = start + 16 * pageSize;
+    const std::string message =
+        strprintf("touch outside any VMA: %#lx", gap);
+    EXPECT_DEATH(system.touch(gap), message);
+    EXPECT_DEATH(system.touchRange(start + 10 * pageSize, 10), message);
 }
