@@ -143,55 +143,60 @@ AddressSpace::madviseFree(VirtAddr start, std::uint64_t nPages)
 AddressSpace::TouchResult
 AddressSpace::touchRange(VirtAddr start, std::uint64_t pages)
 {
+    // As on hardware, a present page never faults: only a fault looks
+    // up (and bounds-checks) its VMA, and one lookup serves every fault
+    // up to that VMA's end.
+    Vma *vma = nullptr;
+    auto faultingVma = [&](VirtAddr va) -> Vma & {
+        if (!vma || !vma->contains(va)) {
+            vma = vmas_.find(va);
+            panic_if(!vma, "touch outside any VMA: %#lx", va);
+        }
+        return *vma;
+    };
+
     TouchResult result;
-    VirtAddr va = start;
-    while (pages > 0) {
-        Vma *vma = vmas_.find(va);
-        panic_if(!vma, "touch outside any VMA: %#lx", va);
-        const std::uint64_t run =
-            std::min(pages, ceilDiv(vma->end - va, pageSize));
-        pages -= run;
-
-        if (!config_.hugePages) {
-            // Page fault: demand allocation (Section 3.7.1).
-            const Translation last = pt_.populate(
-                va, run,
-                [&](VirtAddr pageVa) {
-                    const Pfn frame = frames_.allocFrame();
-                    fatal_if(frame == invalidPfn,
-                             "out of physical memory for %#lx", pageVa);
-                    reverseMap_[frame] = alignDown(pageVa, pageSize) + 1;
-                    if (config_.pinnedProb > 0.0 &&
-                        pinRng_.chance(config_.pinnedProb)) {
-                        pinned_[frame] = 1;
-                    }
-                    ++pageFaults_;
-                    ++vma->touchedPages;
-                    ++touchedPages_;
-                    return frame;
-                },
-                result.faulted);
-            result.translation = last;
-            va += run * pageSize;
-            continue;
-        }
-
-        // 2MB pages: one fault maps the whole 2MB page, so each page
-        // first checks whether an earlier one already did.
-        for (std::uint64_t i = 0; i < run; ++i, va += pageSize) {
-            result.faulted = !pt_.lookup(va);
-            if (result.faulted) {
+    if (!config_.hugePages) {
+        // Demand allocation (Section 3.7.1).
+        result.translation = pt_.populate(
+            start, pages,
+            [&](VirtAddr va) {
+                Vma &owner = faultingVma(va);
+                const Pfn frame = frames_.allocFrame();
+                fatal_if(frame == invalidPfn,
+                         "out of physical memory for %#lx", va);
+                reverseMap_[frame] = alignDown(va, pageSize) + 1;
+                if (config_.pinnedProb > 0.0 &&
+                    pinRng_.chance(config_.pinnedProb)) {
+                    pinned_[frame] = 1;
+                }
                 ++pageFaults_;
-                const Pfn block = frames_.allocBlock(levelBits);
-                fatal_if(block == invalidPfn,
-                         "out of physical memory (2MB page for %#lx)", va);
-                pt_.map(alignDown(va, levelSpan(2)), block,
-                        /*leafLevel=*/2);
-                vma->touchedPages += entriesPerNode;
-                touchedPages_ += entriesPerNode;
-            }
-            result.translation = *pt_.lookup(va);
+                ++owner.touchedPages;
+                ++touchedPages_;
+                return frame;
+            },
+            result.faulted);
+        return result;
+    }
+
+    // 2MB pages: one fault maps the whole 2MB page, so each page first
+    // checks whether an earlier one already did.
+    for (std::uint64_t i = 0; i < pages; ++i) {
+        const VirtAddr va = start + i * pageSize;
+        std::optional<Translation> t = pt_.lookup(va);
+        result.faulted = !t;
+        if (!t) {
+            Vma &owner = faultingVma(va);
+            ++pageFaults_;
+            const Pfn block = frames_.allocBlock(levelBits);
+            fatal_if(block == invalidPfn,
+                     "out of physical memory (2MB page for %#lx)", va);
+            pt_.map(alignDown(va, levelSpan(2)), block, /*leafLevel=*/2);
+            owner.touchedPages += entriesPerNode;
+            touchedPages_ += entriesPerNode;
+            t = pt_.lookup(va);
         }
+        result.translation = *t;
     }
     return result;
 }

@@ -109,18 +109,18 @@ class AddressSpace : public FrameRelocator
 
     /**
      * Ensure @p va is mapped (allocating on first touch) and return its
-     * translation. The address must fall inside an existing VMA.
+     * translation. A fault outside every VMA panics.
      */
     TouchResult touch(VirtAddr va) { return touchRange(va, 1); }
 
     /**
      * touch() each of @p pages pages from @p start on, in page order,
-     * with one VMA lookup per VMA and one page-table descent per PL1
-     * node (PageTable::populate). Frames, counters and pin draws come
-     * out exactly as from the per-page loop; a range running into an
-     * unmapped gap panics at the gap's first page, as touch() does.
-     * 2MB-page spaces fault page by page. @return the last page's
-     * result.
+     * with one page-table descent per PL1 node (PageTable::populate)
+     * and one VMA lookup per VMA the faults land in. Frames, counters
+     * and pin draws come out exactly as from the per-page loop; a range
+     * running into an unmapped gap panics at the gap's first page, as
+     * touch() does. 2MB-page spaces fault page by page. @return the
+     * last page's result.
      */
     TouchResult touchRange(VirtAddr start, std::uint64_t pages);
 

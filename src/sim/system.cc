@@ -252,15 +252,13 @@ System::backGuestRange(VirtAddr start, std::uint64_t pages)
             entriesPerNode, first + pages));
         pages -= end - first;
         for (unsigned slot = first; slot < end; ++slot, va += pageSize) {
-            hostSpace_->touch(static_cast<PhysAddr>(leaf.entries[slot].pfn())
-                              << pageShift);
+            ensureBacked(leaf.entries[slot].pfn() << pageShift);
             if (slot != first)
                 continue;
             PtNodeIndex nodeIndex = pt.rootIndex();
             for (unsigned level = pt.levels();; --level) {
                 const PtNode &node = pt.nodeAt(nodeIndex);
-                hostSpace_->touch(static_cast<PhysAddr>(node.pfn)
-                                  << pageShift);
+                ensureBacked(node.pfn << pageShift);
                 if (level == 1)
                     break;
                 nodeIndex = node.children[levelIndex(va, level)];
