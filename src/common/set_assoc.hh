@@ -37,15 +37,19 @@
  *
  * Arrays of populateBytes or more (in practice the multi-MB LLC) are
  * mapped pre-faulted (mapZeroPages with populate). A lazily zeroed
- * array takes a read fault and then a write fault per page as the
- * simulation first reaches each set: 2,560 faults per native_asap run
- * for the paper LLC, about 4% of simbench's sim_rate. Heap calloc hid
- * that only while the per-frame OS arrays sat on the heap and had
- * raised glibc's mmap threshold, so that calloc reused already-faulted
- * chunks. A related dead end on the OS side: reserving a page table's
- * slab to a prefault range's exact size made the first node a tenant
- * created at run time reallocate the whole slab (8,000 extra faults
- * inside simbench's tenant_churn simulation, -7% sim_rate).
+ * array takes a read fault and then a write fault per page inside the
+ * measured simulation, as it first reaches each set: about 2,580 minor
+ * faults in a native_asap-shaped run with the 5 MiB LLC, against the
+ * 1,280 that populating takes during Machine construction. On a 4-vCPU
+ * host, 6 interleaved simbench pairs ran 7.34 -> 7.83 Macc/s on
+ * native_asap (4 of 6 pairs) and 1.59 -> 1.68 on virt_coloc (5 of 6)
+ * with it. Heap calloc can hand back an already-faulted chunk instead,
+ * but only when glibc recycles one, which depends on what else the
+ * process allocated and freed. The same cost rules out a dead end on
+ * the OS side: reserving a page table's slab to a prefault range's
+ * exact size makes the first node a tenant creates at run time
+ * reallocate, and so re-fault, the whole slab inside the measured
+ * simulation.
  *
  * Replacement policy — the combined scan every structure always used:
  *   1. a way whose key matches (plus an optional payload predicate for

@@ -14,6 +14,7 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "common/zero_pages.hh"
 
 using namespace asap;
 
@@ -417,3 +418,25 @@ TEST_P(ZipfMonotone, HeadOutweighsTail)
 
 INSTANTIATE_TEST_SUITE_P(Thetas, ZipfMonotone,
                          ::testing::Values(0.5, 0.7, 0.85, 0.99));
+
+TEST(ZeroPageArray, StartsZeroHoldsWritesAndMoves)
+{
+    ZeroPageArray<std::uint64_t> array(1 << 20);
+    ASSERT_EQ(array.size(), std::size_t{1} << 20);
+    EXPECT_EQ(array[0], 0u);
+    EXPECT_EQ(array[(1 << 20) - 1], 0u);
+    array[12345] = 7;
+    ZeroPageArray<std::uint64_t> moved(std::move(array));
+    EXPECT_EQ(moved[12345], 7u);
+    EXPECT_EQ(moved[12346], 0u);
+    EXPECT_EQ(array.size(), 0u);
+    EXPECT_EQ(ZeroPageArray<std::uint8_t>(0).size(), 0u);
+}
+
+#ifndef NDEBUG
+TEST(ZeroPageArrayDeathTest, DebugBuildsCheckTheIndex)
+{
+    ZeroPageArray<std::uint8_t> array(16);
+    EXPECT_DEATH(array[16] = 1, "index 16 out of 16");
+}
+#endif
