@@ -8,6 +8,21 @@
 namespace asap
 {
 
+namespace
+{
+
+/** The bits of frames [pfn, end) inside pfn's 64-frame bitmap word. */
+std::uint64_t
+wordMask(Pfn pfn, Pfn end)
+{
+    const unsigned bit = pfn % 64;
+    const std::uint64_t bits = std::min<std::uint64_t>(64 - bit, end - pfn);
+    return (bits == 64 ? ~std::uint64_t{0}
+                       : (std::uint64_t{1} << bits) - 1) << bit;
+}
+
+} // namespace
+
 BuddyAllocator::BuddyAllocator(std::uint64_t totalFrames, unsigned maxOrder)
     : totalFrames_(totalFrames), maxOrder_(maxOrder),
       freeFrames_(totalFrames), listHead_(maxOrder + 1, noBlock),
@@ -76,21 +91,15 @@ BuddyAllocator::markFrames(Pfn start, std::uint64_t count, bool free)
     panic_if(start + count > totalFrames_,
              "frame range [%#lx,+%lu) out of bounds", start, count);
     const Pfn end = start + count;
-    for (Pfn pfn = start; pfn < end;) {
-        const unsigned bit = pfn % 64;
-        const std::uint64_t bits = std::min<std::uint64_t>(64 - bit,
-                                                           end - pfn);
-        const std::uint64_t mask =
-            (bits == 64 ? ~std::uint64_t{0}
-                        : (std::uint64_t{1} << bits) - 1) << bit;
+    for (Pfn pfn = start; pfn < end; pfn = (pfn | 63) + 1) {
+        const std::uint64_t mask = wordMask(pfn, end);
         std::uint64_t &word = allocated_[pfn / 64];
         // Freeing needs every bit set, allocating every bit clear.
         const std::uint64_t wrong = (free ? ~word : word) & mask;
         panic_if(wrong != 0, "frame %#lx double-%s",
-                 pfn - bit + static_cast<unsigned>(__builtin_ctzll(wrong)),
+                 (pfn & ~Pfn{63}) + __builtin_ctzll(wrong),
                  free ? "free" : "alloc");
         word ^= mask;
-        pfn += bits;
     }
     if (free)
         freeFrames_ += count;
@@ -102,16 +111,9 @@ bool
 BuddyAllocator::anyAllocated(Pfn start, std::uint64_t count) const
 {
     const Pfn end = start + count;
-    for (Pfn pfn = start; pfn < end;) {
-        const unsigned bit = pfn % 64;
-        const std::uint64_t bits = std::min<std::uint64_t>(64 - bit,
-                                                           end - pfn);
-        const std::uint64_t mask =
-            (bits == 64 ? ~std::uint64_t{0}
-                        : (std::uint64_t{1} << bits) - 1) << bit;
-        if (allocated_[pfn / 64] & mask)
+    for (Pfn pfn = start; pfn < end; pfn = (pfn | 63) + 1) {
+        if (allocated_[pfn / 64] & wordMask(pfn, end))
             return true;
-        pfn += bits;
     }
     return false;
 }

@@ -11,6 +11,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "os/buddy_allocator.hh"
 
@@ -325,6 +326,21 @@ TEST_P(BuddyReserveProperty, ReservedAndAllocatedDisjoint)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BuddyReserveProperty,
                          ::testing::Values(11, 22, 33, 44));
+
+TEST(BuddyDeathTest, DoubleFreeNamesTheFirstFreeFrame)
+{
+    BuddyAllocator buddy(1024);
+    const Pfn block = buddy.allocBlock(7);      // spans two bitmap words
+    ASSERT_NE(block, invalidPfn);
+    buddy.freeBlock(block, 7);
+    EXPECT_DEATH(buddy.freeBlock(block, 7),
+                 strprintf("frame %#lx double-free", block));
+
+    const Pfn again = buddy.allocBlock(7);
+    buddy.freeFrame(again + 70);
+    EXPECT_DEATH(buddy.freeBlock(again + 64, 6),
+                 strprintf("frame %#lx double-free", again + 70));
+}
 
 namespace
 {
