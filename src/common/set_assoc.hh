@@ -35,21 +35,22 @@
  * is renormalized on the (practically unreachable) 32-bit wrap,
  * preserving LRU order for arbitrarily long runs.
  *
- * Arrays of populateBytes or more (in practice the multi-MB LLC) are
- * mapped pre-faulted (mapZeroPages with populate). A lazily zeroed
- * array takes a read fault and then a write fault per page inside the
- * measured simulation, as it first reaches each set: about 2,580 minor
- * faults in a native_asap-shaped run with the 5 MiB LLC, against the
- * 1,280 that populating takes during Machine construction. On a 4-vCPU
- * host, 6 interleaved simbench pairs ran 7.34 -> 7.83 Macc/s on
- * native_asap (4 of 6 pairs) and 1.59 -> 1.68 on virt_coloc (5 of 6)
- * with it. Heap calloc can hand back an already-faulted chunk instead,
- * but only when glibc recycles one, which depends on what else the
- * process allocated and freed. The same cost rules out a dead end on
- * the OS side: reserving a page table's slab to a prefault range's
- * exact size makes the first node a tenant creates at run time
- * reallocate, and so re-fault, the whole slab inside the measured
- * simulation.
+ * Every array is its own pre-faulted zero-page mapping (a populated
+ * ZeroPageArray), so its page faults are taken while the Machine is
+ * built. Mapped lazily, an array takes a read fault and then a write
+ * fault per page inside the measured simulation, as it first reaches
+ * each set: about 2,580 minor faults in a native_asap-shaped run with
+ * the 5 MiB LLC, against 1,280 up front. Heap calloc returns an
+ * already-faulted chunk only when glibc happens to recycle one. On a
+ * 4-vCPU host, 10 rounds of interleaved 20-s simbench runs (medians)
+ * put this one path level with a split that calloc'ed the arrays under
+ * 1 MiB: 8.66 against 8.64 Macc/s on native_asap, 1.97 against 1.90 on
+ * virt_coloc. Against lazily mapped arrays the same rounds read 8.66
+ * against 8.15 Macc/s (8 of 10 rounds) and 1.97 against 2.02 (4 of 10),
+ * both inside the lazy runs' quartile spread: populating is kept for
+ * the faults it moves out of the simulation, not for a resolved rate
+ * gain. The same run-time faults rule out reserving a page table's slab
+ * to a range's size (pt/page_table.hh).
  *
  * Replacement policy — the combined scan every structure always used:
  *   1. a way whose key matches (plus an optional payload predicate for
@@ -65,11 +66,8 @@
 #define ASAP_COMMON_SET_ASSOC_HH
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <memory>
-#include <new>
 
 #include "common/types.hh"
 #include "common/zero_pages.hh"
@@ -125,34 +123,23 @@ class SetAssoc
     void
     init(std::uint64_t sets, unsigned ways)
     {
-        release();
         sets_ = sets;
         ways_ = ways;
         setMask_ = sets - 1;
-        count_ = sets * ways;
-        bytes_ = count_ * sizeof(Way);
         // The all-zero state is the flushed state, so constructing a
-        // machine writes nothing; big arrays come pre-faulted (file
-        // comment). (Huge-page-advised mmap backing was tried here and
-        // lost: the 2MB first-touch zeroing costs more than the host
-        // TLB misses it saves at these array sizes.)
-        if (bytes_ >= populateBytes) {
-            store_ = static_cast<Way *>(mapZeroPages(bytes_,
-                                                     /*populate=*/true));
-        } else {
-            store_ = static_cast<Way *>(std::calloc(count_, sizeof(Way)));
-            if (!store_)
-                throw std::bad_alloc();
-        }
+        // machine writes no byte; its pages are faulted in here rather
+        // than inside the simulation (file comment). (Huge-page-advised
+        // mmap backing was tried here and lost: the 2MB first-touch
+        // zeroing costs more than the host TLB misses it saves at these
+        // array sizes.)
+        store_ = ZeroPageArray<Way>(sets * ways, /*populate=*/true);
         tick_ = 0;
     }
-
-    ~SetAssoc() { release(); }
 
     SetAssoc(const SetAssoc &) = delete;
     SetAssoc &operator=(const SetAssoc &) = delete;
 
-    bool empty() const { return count_ == 0; }
+    bool empty() const { return store_.size() == 0; }
     std::uint64_t sets() const { return sets_; }
     unsigned ways() const { return ways_; }
 
@@ -163,7 +150,7 @@ class SetAssoc
     Ref
     find(std::uint64_t set, std::uint64_t key)
     {
-        Way *base = store_ + set * ways_;
+        Way *base = setBase(set);
         for (unsigned w = 0; w < ways_; ++w) {
             if (base[w].key == key)
                 return refOf(base[w]);
@@ -184,7 +171,7 @@ class SetAssoc
     Ref
     findWhere(std::uint64_t set, std::uint64_t key, Pred pred)
     {
-        Way *base = store_ + set * ways_;
+        Way *base = setBase(set);
         for (unsigned w = 0; w < ways_; ++w) {
             if (base[w].key == key && pred(base[w].payload))
                 return refOf(base[w]);
@@ -204,7 +191,7 @@ class SetAssoc
     {
         std::uint64_t valid = 0;
         for (std::uint64_t set = 0; set < sets_; ++set) {
-            const Way *base = store_ + set * ways_;
+            const Way *base = setBase(set);
             unsigned w = 0;
             while (w < ways_ && base[w].key != 0)
                 ++w;
@@ -225,7 +212,7 @@ class SetAssoc
     Slot
     findOrVictimWhere(std::uint64_t set, std::uint64_t key, Pred pred)
     {
-        Way *base = store_ + set * ways_;
+        Way *base = setBase(set);
         // LRU tracking stays in registers (index + tick) so the scan
         // compiles to conditional moves: the tick comparison's outcome
         // is data-random, and a branch there mispredicts roughly every
@@ -267,7 +254,7 @@ class SetAssoc
     void
     invalidateKey(std::uint64_t set, std::uint64_t key)
     {
-        Way *base = store_ + set * ways_;
+        Way *base = setBase(set);
         for (unsigned w = 0; w < ways_; ++w) {
             if (base[w].key != key)
                 continue;
@@ -298,11 +285,11 @@ class SetAssoc
     std::uint64_t
     invalidateWhere(Pred pred)
     {
-        if (!store_)
+        if (empty())
             return 0;
         std::uint64_t dropped = 0;
         for (std::uint64_t set = 0; set < sets_; ++set) {
-            Way *base = store_ + set * ways_;
+            Way *base = setBase(set);
             unsigned valid = ways_;
             while (valid > 0 && base[valid - 1].key == 0)
                 --valid;
@@ -329,9 +316,9 @@ class SetAssoc
     void
     flush()
     {
-        if (!store_)
+        if (empty())
             return;
-        std::memset(store_, 0, bytes_);
+        std::memset(setBase(0), 0, store_.size() * sizeof(Way));
         tick_ = 0;
     }
 
@@ -342,6 +329,13 @@ class SetAssoc
         Tick tick;
         Payload payload;
     };
+
+    /** First way of @p set; the index is checked unless NDEBUG. */
+    Way *
+    setBase(std::uint64_t set) const
+    {
+        return const_cast<Way *>(&store_[set * ways_]);
+    }
 
     Ref
     refOf(Way &way) const
@@ -358,32 +352,17 @@ class SetAssoc
     renormalizeTicks()
     {
         const Tick half = tick_ / 2;
-        for (std::uint64_t i = 0; i < count_; ++i) {
+        for (std::size_t i = 0; i < store_.size(); ++i) {
             Way &way = store_[i];
             way.tick = way.tick > half ? way.tick - half : 0;
         }
         tick_ -= half;
     }
 
-    void
-    release()
-    {
-        if (bytes_ >= populateBytes)
-            unmapZeroPages(store_, bytes_);
-        else
-            std::free(store_);
-        store_ = nullptr;
-    }
-
-    /** Arrays this big are mapped pre-faulted (file comment). */
-    static constexpr std::size_t populateBytes = std::size_t{1} << 20;
-
     std::uint64_t sets_ = 0;
     unsigned ways_ = 0;
     std::uint64_t setMask_ = 0;
-    std::uint64_t count_ = 0;
-    std::size_t bytes_ = 0;
-    Way *store_ = nullptr;
+    ZeroPageArray<Way> store_;
     Tick tick_ = 0;
 };
 

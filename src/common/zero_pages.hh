@@ -2,7 +2,7 @@
  * @file
  * Anonymous zero-filled mappings: the backing of every per-frame
  * metadata array (buddy links and bits, reverse map, pin flags) and of
- * the big SetAssoc arrays.
+ * every SetAssoc array.
  *
  * A per-frame array is sized to the whole machine (6M frames for a
  * 24 GiB one) but a build touches a fraction of it. Giving each array
@@ -36,7 +36,8 @@ void *mapZeroPages(std::size_t bytes, bool populate = false);
 /** Unmap a mapZeroPages() result of the same size. */
 void unmapZeroPages(void *base, std::size_t bytes);
 
-/** A fixed-size array of @p T whose initial state is all-zero. */
+/** A fixed-size array of @p T whose initial state is all-zero; with
+ *  @p populate its pages are faulted in at construction. */
 template <typename T>
 class ZeroPageArray
 {
@@ -46,8 +47,8 @@ class ZeroPageArray
   public:
     ZeroPageArray() = default;
 
-    explicit ZeroPageArray(std::size_t size)
-        : data_(static_cast<T *>(mapZeroPages(size * sizeof(T)))),
+    explicit ZeroPageArray(std::size_t size, bool populate = false)
+        : data_(static_cast<T *>(mapZeroPages(size * sizeof(T), populate))),
           size_(size)
     {}
 

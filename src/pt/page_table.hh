@@ -20,6 +20,14 @@
  * destroyed (unmap retains intermediate nodes, as Linux does), so slab
  * indices are stable for the table's lifetime and can be cached in the
  * page walk caches.
+ *
+ * The slab grows the way std::vector does. Reserving it to a prefault
+ * range's exact size is a dead end: the first node a tenant then
+ * creates at run time reallocates, and so re-faults, the whole slab
+ * inside the measured simulation. A prototype of the range prefault
+ * path (populate below) measured that as 8,000 extra page faults in
+ * simbench's tenant_churn and -7% sim_rate; it has not been re-measured
+ * on this code.
  */
 
 #ifndef ASAP_PT_PAGE_TABLE_HH

@@ -12,6 +12,7 @@
 #include "common/logging.hh"
 #include "common/mem_level.hh"
 #include "common/rng.hh"
+#include "common/set_assoc.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "common/zero_pages.hh"
@@ -431,6 +432,10 @@ TEST(ZeroPageArray, StartsZeroHoldsWritesAndMoves)
     EXPECT_EQ(moved[12346], 0u);
     EXPECT_EQ(array.size(), 0u);
     EXPECT_EQ(ZeroPageArray<std::uint8_t>(0).size(), 0u);
+
+    ZeroPageArray<std::uint64_t> populated(1 << 12, /*populate=*/true);
+    EXPECT_EQ(populated[0], 0u);
+    EXPECT_EQ(populated[(1 << 12) - 1], 0u);
 }
 
 #ifndef NDEBUG
@@ -438,5 +443,12 @@ TEST(ZeroPageArrayDeathTest, DebugBuildsCheckTheIndex)
 {
     ZeroPageArray<std::uint8_t> array(16);
     EXPECT_DEATH(array[16] = 1, "index 16 out of 16");
+}
+
+TEST(SetAssocDeathTest, DebugBuildsCheckTheSet)
+{
+    SetAssoc<> array;
+    array.init(4, 2);
+    EXPECT_DEATH(array.find(4, 1), "index 8 out of 8");
 }
 #endif
