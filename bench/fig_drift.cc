@@ -135,7 +135,6 @@ main(int argc, char **argv)
             // System, and the timeline watches that mutation happen.
             Environment environment(spec, env);
             obs::Timeline timeline(run.measureAccesses / numEpochs);
-            timeline.setEnabled(true);
             environment.run(makeMachineConfig(AsapConfig::p1p2()), run,
                             nullptr, &timeline);
 

@@ -8,7 +8,8 @@
  *
  * Each *site* is a short string naming a probe compiled into the code
  * ("file-open", "file-read", "decompress", "env-alloc", "cell",
- * "cell-hang", "timeline-write"). Every time execution passes a probe
+ * "cell-hang", "attempt-thread", "timeline-write"). Every time
+ * execution passes a probe
  * the site's hit
  * counter increments; a rule `site:nth` makes the probe fail on its
  * nth hit (1-based), and `site:nth:count` fails `count` consecutive

@@ -318,7 +318,10 @@ class SetAssoc
     {
         if (empty())
             return;
-        std::memset(setBase(0), 0, store_.size() * sizeof(Way));
+        // Through void*: Way is not trivially copyable, but all-zero
+        // bytes are exactly its invalid state.
+        std::memset(static_cast<void *>(setBase(0)), 0,
+                    store_.size() * sizeof(Way));
         tick_ = 0;
     }
 

@@ -1,10 +1,13 @@
 #include "exp/journal.hh"
 
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -35,21 +38,45 @@ u64Str(std::uint64_t v)
     return strprintf("%llu", static_cast<unsigned long long>(v));
 }
 
+/** Strict decimal u64 parse: digits only, in range. (strtoull alone
+ *  also takes leading space and a sign, and wraps "-1" to 2^64-1.) */
+bool
+parseU64(const std::string &s, std::uint64_t &out)
+{
+    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtoull(s.c_str(), &end, 10);
+    return errno == 0 && end == s.c_str() + s.size();
+}
+
 /** Strict u64 parse of a Json string member; false on absence or
  *  malformed digits. */
 bool
 getU64(const Json &obj, const char *key, std::uint64_t &out)
 {
     const Json *member = obj.find(key);
-    if (!member || member->type() != Json::Type::String)
+    return member && member->type() == Json::Type::String &&
+           parseU64(member->asString(), out);
+}
+
+/** @p json as an integer in [0, @p max], for the journal's JSON-number
+ *  fields; false for any other type or value (negative, fractional,
+ *  NaN, too large). The journal is a file on disk, and casting an
+ *  unchecked double to an integer is undefined behaviour. @p max must
+ *  convert to double exactly (below 2^53). */
+bool
+getCount(const Json *json, std::uint64_t max, std::uint64_t &out)
+{
+    if (!json || json->type() != Json::Type::Number)
         return false;
-    const std::string &s = member->asString();
-    if (s.empty())
+    const double value = json->asNumber();
+    if (!(value >= 0.0 && value <= static_cast<double>(max)) ||
+        value != std::floor(value))
         return false;
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtoull(s.c_str(), &end, 10);
-    return errno == 0 && end == s.c_str() + s.size();
+    out = static_cast<std::uint64_t>(value);
+    return true;
 }
 
 Json
@@ -110,18 +137,10 @@ histFromJson(const Json &json, obs::Histogram &hist)
         return false;
     hist.reset();
     for (const auto &[key, value] : buckets->members()) {
-        char *end = nullptr;
-        errno = 0;
-        const std::uint64_t index = std::strtoull(key.c_str(), &end, 10);
-        if (errno != 0 || end != key.c_str() + key.size() ||
-            index >= obs::Histogram::numBuckets ||
-            value.type() != Json::Type::String)
-            return false;
-        std::uint64_t n;
-        errno = 0;
-        n = std::strtoull(value.asString().c_str(), &end, 10);
-        if (errno != 0 ||
-            end != value.asString().c_str() + value.asString().size())
+        std::uint64_t index, n;
+        if (!parseU64(key, index) || index >= obs::Histogram::numBuckets ||
+            value.type() != Json::Type::String ||
+            !parseU64(value.asString(), n))
             return false;
         hist.setBucketCount(index, n);
     }
@@ -147,14 +166,9 @@ levelDistFromJson(const Json &json, LevelDistribution &dist)
     dist.reset();
     for (std::size_t i = 0; i < numMemLevels; ++i) {
         const Json &item = json.items()[i];
-        if (item.type() != Json::Type::String)
-            return false;
-        char *end = nullptr;
-        errno = 0;
-        const std::uint64_t n =
-            std::strtoull(item.asString().c_str(), &end, 10);
-        if (errno != 0 ||
-            end != item.asString().c_str() + item.asString().size())
+        std::uint64_t n;
+        if (item.type() != Json::Type::String ||
+            !parseU64(item.asString(), n))
             return false;
         dist.restoreCount(static_cast<MemLevel>(i), n);
     }
@@ -286,12 +300,8 @@ runStatsFromJson(const Json &json, RunStats &stats)
             pair.items()[0].type() != Json::Type::String ||
             pair.items()[1].type() != Json::Type::String)
             return false;
-        char *end = nullptr;
-        const std::string &digits = pair.items()[1].asString();
-        errno = 0;
-        const std::uint64_t value =
-            std::strtoull(digits.c_str(), &end, 10);
-        if (errno != 0 || end != digits.c_str() + digits.size())
+        std::uint64_t value;
+        if (!parseU64(pair.items()[1].asString(), value))
             return false;
         stats.counters.emplace_back(pair.items()[0].asString(), value);
     }
@@ -350,8 +360,11 @@ cellResultFromJson(const Json &json, CellResult &result)
     if (!row || row->type() != Json::Type::String || !column ||
         column->type() != Json::Type::String || !measured ||
         measured->type() != Json::Type::Bool || !statusCode ||
-        statusCode->type() != Json::Type::String || !attempts ||
-        attempts->type() != Json::Type::Number)
+        statusCode->type() != Json::Type::String)
+        return false;
+    std::uint64_t attemptCount;
+    if (!getCount(attempts, std::numeric_limits<unsigned>::max(),
+                  attemptCount))
         return false;
     CellResult out;
     out.row = row->asString();
@@ -365,7 +378,7 @@ cellResultFromJson(const Json &json, CellResult &result)
         return false;
     out.status = Status(code, message ? message->asString()
                                       : std::string());
-    out.attempts = static_cast<unsigned>(attempts->asNumber());
+    out.attempts = static_cast<unsigned>(attemptCount);
     if (out.measured) {
         const Json *stats = json.find("stats");
         if (!stats || !runStatsFromJson(*stats, out.stats))
@@ -464,15 +477,14 @@ CellJournal::open(const std::string &name, std::size_t cellCount,
                 first = false;
                 const Json *kind = doc->find("journal");
                 const Json *sweep = doc->find("sweep");
-                const Json *cells = doc->find("cells");
+                std::uint64_t cells;
                 headerOk =
                     kind && kind->type() == Json::Type::String &&
                     kind->asString() == "asap-sweep-cells" && sweep &&
                     sweep->type() == Json::Type::String &&
-                    sweep->asString() == name && cells &&
-                    cells->type() == Json::Type::Number &&
-                    static_cast<std::size_t>(cells->asNumber()) ==
-                        cellCount;
+                    sweep->asString() == name &&
+                    getCount(doc->find("cells"), cellCount, cells) &&
+                    cells == cellCount;
                 if (!headerOk) {
                     warn("journal %s does not match this sweep; "
                          "recomputing all cells",
@@ -481,9 +493,10 @@ CellJournal::open(const std::string &name, std::size_t cellCount,
                 }
                 continue;
             }
-            const Json *cell = doc->find("cell");
             const Json *key = doc->find("key");
-            if (!cell || cell->type() != Json::Type::Number || !key ||
+            std::uint64_t index;
+            if (!getCount(doc->find("cell"), cellCount, index) ||
+                index >= cellCount || !key ||
                 key->type() != Json::Type::String)
                 continue;
             std::uint64_t keyValue = 0;
@@ -499,10 +512,6 @@ CellJournal::open(const std::string &name, std::size_t cellCount,
             }
             CellResult result;
             if (!cellResultFromJson(*doc, result))
-                continue;
-            const auto index =
-                static_cast<std::size_t>(cell->asNumber());
-            if (index >= cellCount)
                 continue;
             result.resumed = true;
             loaded_[index] = {keyValue, std::move(result)};

@@ -30,7 +30,8 @@
  *
  * A journal whose header does not match the running sweep (renamed
  * sweep, different cell count, unparsable lines) contributes nothing:
- * resume quietly falls back to recomputing.
+ * resume quietly falls back to recomputing. So does a record whose
+ * cell index or attempt count is not an integer in range.
  */
 
 #ifndef ASAP_EXP_JOURNAL_HH
@@ -84,13 +85,10 @@ class CellJournal
     const CellResult *find(std::size_t cellIndex,
                            std::uint64_t key) const;
 
-    /** Number of loaded (resumable) records. */
-    std::size_t loadedCount() const { return loaded_.size(); }
-
     /**
-     * Append one finished cell and fsync. Thread-safe (group tasks on
-     * the pool call this concurrently). Write failures warn once and
-     * disable the journal for the rest of the run.
+     * Append one finished cell and fsync. Thread-safe (the sweep's
+     * group workers call this concurrently). Write failures warn once
+     * and disable the journal for the rest of the run.
      */
     void append(std::size_t cellIndex, std::uint64_t key,
                 const CellResult &result);

@@ -245,6 +245,49 @@ struct Parser
         return Json(std::move(out));
     }
 
+    /** Skip a run of digits; false when there is none. */
+    bool
+    digits()
+    {
+        const char *start = cursor;
+        while (cursor != end &&
+               std::isdigit(static_cast<unsigned char>(*cursor)))
+            ++cursor;
+        return cursor != start;
+    }
+
+    /** A number in JSON's own syntax only: strtod alone would also
+     *  take inf, NaN, hex, a leading '+' or '.', and overflow to
+     *  infinity. */
+    Json
+    parseNumber()
+    {
+        const char *start = cursor;
+        if (cursor != end && *cursor == '-')
+            ++cursor;
+        if (cursor != end && *cursor == '0')
+            ++cursor;
+        else if (!digits())
+            return fail();
+        if (cursor != end && *cursor == '.') {
+            ++cursor;
+            if (!digits())
+                return fail();
+        }
+        if (cursor != end && (*cursor == 'e' || *cursor == 'E')) {
+            ++cursor;
+            if (cursor != end && (*cursor == '+' || *cursor == '-'))
+                ++cursor;
+            if (!digits())
+                return fail();
+        }
+        const double value =
+            std::strtod(std::string(start, cursor).c_str(), nullptr);
+        if (!std::isfinite(value))
+            return fail();
+        return Json(value);
+    }
+
     Json
     parseValue()
     {
@@ -298,14 +341,8 @@ struct Parser
             return literal("false") ? Json(false) : fail();
           case 'n':
             return literal("null") ? Json() : fail();
-          default: {
-            char *numEnd = nullptr;
-            const double value = std::strtod(cursor, &numEnd);
-            if (numEnd == cursor || numEnd > end)
-                return fail();
-            cursor = numEnd;
-            return Json(value);
-          }
+          default:
+            return parseNumber();
         }
     }
 };

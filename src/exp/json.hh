@@ -2,7 +2,7 @@
  * @file
  * A minimal JSON document model used by the experiment subsystem for
  * structured result emission (BENCH_*.json trajectory files) and for
- * reading those files back (round-trip tooling and tests).
+ * reading the sweep journal back on resume.
  *
  * Deliberately small: null/bool/number/string/array/object, UTF-8
  * passthrough, insertion-ordered objects so emitted files diff cleanly
@@ -47,7 +47,6 @@ class Json
     static Json object() { Json j; j.type_ = Type::Object; return j; }
 
     Type type() const { return type_; }
-    bool isNull() const { return type_ == Type::Null; }
 
     bool asBool() const { return bool_; }
     double asNumber() const { return number_; }
@@ -75,7 +74,8 @@ class Json
     /** Serialize; indent > 0 pretty-prints with that many spaces. */
     std::string dump(int indent = 0) const;
 
-    /** Parse a document; std::nullopt on malformed input. */
+    /** Parse a document; std::nullopt on malformed input, including
+     *  any number outside JSON's syntax or beyond double range. */
     static std::optional<Json> parse(const std::string &text);
 
     /** Shortest decimal string that round-trips @p value exactly. */

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "common/logging.hh"
 
@@ -87,95 +86,6 @@ ResultTable::toJson() const
     }
     json.set("rows", std::move(rows));
     return json;
-}
-
-std::optional<ResultTable>
-ResultTable::fromCsv(const std::string &text)
-{
-    std::istringstream in(text);
-    std::string line;
-    std::string title;
-    std::string format = "%10.1f";
-    std::vector<std::string> columns;
-    bool haveHeader = false;
-    std::optional<ResultTable> table;
-
-    auto split = [](const std::string &s) {
-        std::vector<std::string> fields;
-        std::size_t start = 0;
-        for (;;) {
-            const std::size_t comma = s.find(',', start);
-            fields.push_back(s.substr(start, comma - start));
-            if (comma == std::string::npos)
-                return fields;
-            start = comma + 1;
-        }
-    };
-
-    while (std::getline(in, line)) {
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.empty())
-            continue;
-        if (line[0] == '#') {
-            const std::size_t start = line.find_first_not_of("# ");
-            if (start == std::string::npos)
-                continue;   // bare comment marker
-            const std::string body = line.substr(start);
-            if (body.rfind("format: ", 0) == 0)
-                format = body.substr(8);
-            else if (title.empty())
-                title = body;
-            continue;
-        }
-        std::vector<std::string> fields = split(line);
-        if (!haveHeader) {
-            if (fields.empty() || fields[0] != "row")
-                return std::nullopt;
-            columns.assign(fields.begin() + 1, fields.end());
-            table.emplace(title, columns, format);
-            haveHeader = true;
-            continue;
-        }
-        std::vector<double> values;
-        for (std::size_t i = 1; i < fields.size(); ++i) {
-            char *end = nullptr;
-            values.push_back(std::strtod(fields[i].c_str(), &end));
-            if (end == fields[i].c_str())
-                return std::nullopt;
-        }
-        table->addRow(fields[0], std::move(values));
-    }
-    if (!haveHeader)
-        return std::nullopt;
-    return table;
-}
-
-std::optional<ResultTable>
-ResultTable::fromJson(const Json &json)
-{
-    const Json *title = json.find("title");
-    const Json *columns = json.find("columns");
-    const Json *rows = json.find("rows");
-    if (!title || !columns || !rows)
-        return std::nullopt;
-    const Json *format = json.find("format");
-    std::vector<std::string> columnNames;
-    for (const Json &column : columns->items())
-        columnNames.push_back(column.asString());
-    ResultTable table(title->asString(), std::move(columnNames),
-                      format ? format->asString() : "%10.1f");
-    for (const Json &row : rows->items()) {
-        const Json *name = row.find("name");
-        const Json *values = row.find("values");
-        if (!name || !values)
-            return std::nullopt;
-        std::vector<double> rowValues;
-        for (const Json &value : values->items())
-            rowValues.push_back(value.asNumber());
-        table.addRow(name->asString(), std::move(rowValues));
-    }
-    return table;
 }
 
 std::string

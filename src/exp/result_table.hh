@@ -55,10 +55,6 @@ class ResultTable
 
     Json toJson() const;
 
-    /** Inverses for round-trip tooling; nullopt on malformed input. */
-    static std::optional<ResultTable> fromCsv(const std::string &text);
-    static std::optional<ResultTable> fromJson(const Json &json);
-
   private:
     std::string title_;
     std::vector<std::string> columns_;

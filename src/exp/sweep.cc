@@ -1,24 +1,22 @@
 #include "exp/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <system_error>
 #include <thread>
-
-#include <unistd.h>
 
 #include "common/fault_inject.hh"
 #include "common/logging.hh"
 #include "exp/journal.hh"
 #include "exp/result_table.hh"
-#include "exp/thread_pool.hh"
 #include "obs/timeline.hh"
 #include "trace/trace_file.hh"
 
@@ -407,48 +405,20 @@ groupLabel(const WorkloadSpec &spec, const EnvironmentOptions &env)
     return label;
 }
 
-/** Opt-in live progress (ASAP_PROGRESS=1): one carriage-return-updated
- *  stderr line instead of a scrolling per-group log. */
-bool
-progressEnabled()
+/** Worker count requested by the environment: ASAP_JOBS if set to a
+ *  positive integer, otherwise std::thread::hardware_concurrency()
+ *  (at least 1). */
+unsigned
+jobsFromEnv()
 {
-    static const bool enabled = [] {
-        const char *env = std::getenv("ASAP_PROGRESS");
-        return env && env[0] != '\0' && env[0] != '0';
-    }();
-    return enabled;
-}
-
-/** The \r/\033[K live line only works on a terminal; into a CI log or
- *  a redirected file it garbles every line into one. */
-bool
-progressIsTty()
-{
-    static const bool tty = isatty(fileno(stderr)) != 0;
-    return tty;
-}
-
-void
-reportGroupDone(unsigned done, unsigned total, const std::string &label)
-{
-    if (progressEnabled()) {
-        static std::mutex mutex;
-        std::lock_guard<std::mutex> lock(mutex);
-        if (progressIsTty()) {
-            std::fprintf(
-                stderr,
-                "\r[asap] progress: %u/%u groups (last: %s)\033[K%s",
-                done, total, label.c_str(),
-                done == total ? "\n" : "");
-        } else {
-            std::fprintf(stderr,
-                         "[asap] progress: %u/%u groups (last: %s)\n",
-                         done, total, label.c_str());
-        }
-        std::fflush(stderr);
-        return;
+    if (const char *env = std::getenv("ASAP_JOBS")) {
+        char *end = nullptr;
+        const long jobs = std::strtol(env, &end, 10);
+        if (end != env && *end == '\0' && jobs > 0)
+            return static_cast<unsigned>(jobs);
     }
-    inform("[%u/%u] %s done", done, total, label.c_str());
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? hw : 1;
 }
 
 /** Fault-isolation policy, re-read from the environment on every run()
@@ -569,21 +539,31 @@ writeCellTimeline(const std::string &sweep, const Cell &cell,
     }
 }
 
+/** What one execution attempt of a cell produces. A timed attempt's
+ *  thread shares it with the runner, so an abandoned attempt keeps it
+ *  alive and never writes into anything the runner still uses. */
+struct Attempt
+{
+    CellResult result;
+    /** The cell's epoch timeline (ASAP_TIMELINE only); the runner
+     *  writes it once the attempt has succeeded. */
+    std::unique_ptr<obs::Timeline> timeline;
+    /** Set by the runner when it abandons the attempt. */
+    std::atomic<bool> cancelled{false};
+};
+
 /**
- * One guarded execution attempt for one cell. Everything the attempt
- * touches is owned through shared_ptr (a private copy of the Cell, a
- * scratch result, the group's environment slot): when a timed-out
- * attempt is abandoned, the zombie thread keeps its captures alive and
- * cannot race anything the runner still uses. Returns OK with @p
- * scratch filled, or the failure (StatusError payloads, bad_alloc as
- * RESOURCE_EXHAUSTED, anything else as INTERNAL — see runToStatus).
+ * One guarded execution attempt for one cell. Everything it touches is
+ * owned through shared_ptr (a private copy of the Cell, the Attempt,
+ * the group's environment slot), so a timed-out attempt cannot race
+ * the runner. Returns OK with @p attempt filled, or the failure
+ * (StatusError payloads, bad_alloc as RESOURCE_EXHAUSTED, anything
+ * else as INTERNAL — see runToStatus).
  */
 Status
-runCellAttempt(const std::shared_ptr<const Cell> &cell,
-               const std::string &sweepName, std::uint64_t seed,
+runCellAttempt(const std::shared_ptr<const Cell> &cell, std::uint64_t seed,
                const std::shared_ptr<std::shared_ptr<Environment>> &envSlot,
-               const std::shared_ptr<CellResult> &scratch,
-               const std::shared_ptr<std::atomic<bool>> &cancelled)
+               const std::shared_ptr<Attempt> &attempt)
 {
     return runToStatus([&] {
         fault::maybeFail("cell");
@@ -591,10 +571,14 @@ runCellAttempt(const std::shared_ptr<const Cell> &cell,
             // Deterministic "stuck cell": bounded so an un-timed-out
             // run still terminates, cooperative so a timed-out zombie
             // exits as soon as the runner abandons it.
-            for (unsigned i = 0; i < 600 && !cancelled->load(); ++i)
+            for (unsigned i = 0; i < 600 && !attempt->cancelled.load();
+                 ++i)
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(100));
         }
+        // An abandoned attempt stops before it builds anything.
+        if (attempt->cancelled.load())
+            return;
         // Lazy so an Environment construction failure (corrupt trace,
         // injected allocation failure) is charged to the cell being
         // attempted, not to the whole group up front.
@@ -606,21 +590,61 @@ runCellAttempt(const std::shared_ptr<const Cell> &cell,
             run.seed = seed;
             const std::uint64_t epochLen =
                 timelineEpochAccesses(run.measureAccesses);
-            if (epochLen != 0) {
-                obs::Timeline timeline(epochLen);
-                timeline.setEnabled(true);
-                scratch->stats = (*envSlot)->run(cell->machine, run,
-                                                 nullptr, &timeline);
-                scratch->measured = true;
-                writeCellTimeline(sweepName, *cell, timeline);
-            } else {
-                scratch->stats = (*envSlot)->run(cell->machine, run);
-                scratch->measured = true;
-            }
+            if (epochLen != 0)
+                attempt->timeline =
+                    std::make_unique<obs::Timeline>(epochLen);
+            attempt->result.stats = (*envSlot)->run(
+                cell->machine, run, nullptr, attempt->timeline.get());
+            attempt->result.measured = true;
         }
         if (cell->probe)
-            cell->probe(**envSlot, *scratch);
+            cell->probe(**envSlot, attempt->result);
     });
+}
+
+/**
+ * Run one attempt and return its status. With no @p timeoutSec the
+ * attempt runs on the calling worker. Otherwise it runs on a thread of
+ * its own that the worker waits on for at most @p timeoutSec seconds;
+ * one that overruns is flagged in @p cancelled and detached, and the
+ * wait returns DEADLINE_EXCEEDED. A host out of threads fails the
+ * attempt as UNAVAILABLE (retried), not the sweep.
+ *
+ * Measured dead end: a thread for every attempt, timeout or not, raised
+ * simbench fig8_sweep's peak RSS from 222 to 268 MB (20 s runs, 2
+ * workers, 4-vCPU host), past the benchmark's 20% bound; a reused
+ * attempt thread per worker read 267 MB and a thread per group 272 MB.
+ * Each extra allocating thread takes its own glibc malloc arena, and
+ * every arena that once held an Environment keeps ~32 MB of freed
+ * memory (MALLOC_ARENA_MAX=1 brings all of them to 189 MB).
+ */
+Status
+runAttempt(const std::function<Status()> &body, unsigned timeoutSec,
+           std::atomic<bool> &cancelled)
+{
+    if (timeoutSec == 0)
+        return body();
+    auto task = std::make_shared<std::packaged_task<Status()>>(body);
+    std::future<Status> future = task->get_future();
+    std::thread thread;
+    try {
+        if (fault::shouldFail("attempt-thread"))
+            throw std::system_error(std::make_error_code(
+                std::errc::resource_unavailable_try_again));
+        thread = std::thread([task] { (*task)(); });
+    } catch (const std::system_error &e) {
+        return Status::unavailable(
+            strprintf("cannot start a cell attempt thread: %s", e.what()));
+    }
+    if (future.wait_for(std::chrono::seconds(timeoutSec)) ==
+        std::future_status::timeout) {
+        cancelled.store(true);
+        thread.detach();
+        return Status::deadlineExceeded(strprintf(
+            "cell exceeded ASAP_CELL_TIMEOUT=%us", timeoutSec));
+    }
+    thread.join();
+    return future.get();
 }
 
 } // namespace
@@ -699,109 +723,83 @@ SweepRunner::run(const SweepSpec &spec) const
         sigaction(SIGTERM, &action, &oldTerm);
     }
 
+    std::atomic<std::size_t> nextGroup{0};
     std::atomic<unsigned> completed{0};
     std::atomic<unsigned> failedCells{0};
     std::atomic<unsigned> retriedCells{0};
-    const unsigned total = static_cast<unsigned>(pending.size());
 
-    ThreadPool pool(jobs_);
-    for (const std::vector<std::size_t> *group : pending) {
-        // (not a structured binding: capturing one in a lambda is
-        // C++20-only, and this project builds as strict C++17)
-        const std::vector<std::size_t> &indices = *group;
-        pool.submit([&cells, &results, &seeds, &keys, &indices,
-                     &completed, &failedCells, &retriedCells, &journal,
-                     &policy, total, sweepName = spec.name()] {
-            const Cell &first = cells[indices.front()];
-            // The group's Environment, double-indirected: the outer
-            // pointer is what a timed-out (zombie) attempt keeps; the
-            // runner swaps in a fresh slot after any failure so
-            // nothing ever shares a half-mutated or still-in-use
-            // Environment.
-            auto envSlot =
-                std::make_shared<std::shared_ptr<Environment>>();
-            for (const std::size_t index : indices) {
-                if (stopSignal)
+    // Run one group's cells in declaration order on one Environment.
+    const auto runGroup = [&](const std::vector<std::size_t> &indices) {
+        // The group's Environment, double-indirected: the outer
+        // pointer is what a timed-out (zombie) attempt keeps; the
+        // runner swaps in a fresh slot after any failure so nothing
+        // ever shares a half-mutated or still-in-use Environment.
+        auto envSlot = std::make_shared<std::shared_ptr<Environment>>();
+        for (const std::size_t index : indices) {
+            if (stopSignal)
+                return;
+            const Cell &cell = cells[index];
+            CellResult &result = results[index];
+            const auto cellCopy = std::make_shared<const Cell>(cell);
+            for (unsigned attempt = 1;; ++attempt) {
+                auto scratch = std::make_shared<Attempt>();
+                scratch->result.row = cell.row;
+                scratch->result.column = cell.column;
+                const Status status = runAttempt(
+                    [cellCopy, seed = seeds[index], envSlot, scratch] {
+                        return runCellAttempt(cellCopy, seed, envSlot,
+                                              scratch);
+                    },
+                    policy.timeoutSec, scratch->cancelled);
+                if (status.ok()) {
+                    if (scratch->timeline)
+                        writeCellTimeline(spec.name(), cell,
+                                          *scratch->timeline);
+                    scratch->result.attempts = attempt;
+                    result = std::move(scratch->result);
                     break;
-                const Cell &cell = cells[index];
-                CellResult &result = results[index];
-                const auto cellCopy = std::make_shared<const Cell>(cell);
-                unsigned attempt = 0;
-                for (;;) {
-                    ++attempt;
-                    auto scratch = std::make_shared<CellResult>();
-                    scratch->row = cell.row;
-                    scratch->column = cell.column;
-                    auto cancelled =
-                        std::make_shared<std::atomic<bool>>(false);
-                    Status status;
-                    if (policy.timeoutSec == 0) {
-                        status = runCellAttempt(cellCopy, sweepName,
-                                                seeds[index], envSlot,
-                                                scratch, cancelled);
-                    } else {
-                        auto task = std::make_shared<
-                            std::packaged_task<Status()>>(
-                            [cellCopy, sweepName, seed = seeds[index],
-                             envSlot, scratch, cancelled] {
-                                return runCellAttempt(cellCopy,
-                                                      sweepName, seed,
-                                                      envSlot, scratch,
-                                                      cancelled);
-                            });
-                        auto future = task->get_future();
-                        std::thread worker([task] { (*task)(); });
-                        if (future.wait_for(std::chrono::seconds(
-                                policy.timeoutSec)) ==
-                            std::future_status::timeout) {
-                            cancelled->store(true);
-                            worker.detach();
-                            status = Status::deadlineExceeded(strprintf(
-                                "cell exceeded ASAP_CELL_TIMEOUT=%us",
-                                policy.timeoutSec));
-                        } else {
-                            worker.join();
-                            status = future.get();
-                        }
-                    }
-                    if (status.ok()) {
-                        scratch->attempts = attempt;
-                        result = std::move(*scratch);
-                        break;
-                    }
-                    // Any failed attempt abandons the group's
-                    // Environment: a half-run (or still-hung) one is
-                    // not a reproducible starting state.
-                    envSlot = std::make_shared<
-                        std::shared_ptr<Environment>>();
-                    if (attempt >= policy.maxAttempts ||
-                        !status.transient()) {
-                        result.attempts = attempt;
-                        result.status = status;
-                        failedCells.fetch_add(1);
-                        warn("sweep cell (%s, %s) failed after %u "
-                             "attempt%s: %s",
-                             cell.row.c_str(), cell.column.c_str(),
-                             attempt, attempt == 1 ? "" : "s",
-                             status.toString().c_str());
-                        break;
-                    }
-                    retriedCells.fetch_add(1);
-                    const unsigned shift =
-                        attempt > 10 ? 10 : attempt - 1;
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(
-                            static_cast<std::uint64_t>(
-                                policy.retryBaseMs)
-                            << shift));
                 }
-                journal.append(index, keys[index], result);
+                // Any failed attempt abandons the group's Environment:
+                // a half-run (or still-hung) one is not a reproducible
+                // starting state.
+                envSlot = std::make_shared<std::shared_ptr<Environment>>();
+                if (attempt >= policy.maxAttempts || !status.transient()) {
+                    result.attempts = attempt;
+                    result.status = status;
+                    failedCells.fetch_add(1);
+                    warn("sweep cell (%s, %s) failed after %u attempt%s: "
+                         "%s",
+                         cell.row.c_str(), cell.column.c_str(), attempt,
+                         attempt == 1 ? "" : "s",
+                         status.toString().c_str());
+                    break;
+                }
+                retriedCells.fetch_add(1);
+                const unsigned shift = attempt > 10 ? 10 : attempt - 1;
+                std::this_thread::sleep_for(std::chrono::milliseconds(
+                    static_cast<std::uint64_t>(policy.retryBaseMs)
+                    << shift));
             }
-            reportGroupDone(completed.fetch_add(1) + 1, total,
-                            groupLabel(first.spec, first.env));
+            journal.append(index, keys[index], result);
+        }
+        const Cell &first = cells[indices.front()];
+        inform("[%u/%zu] %s done", completed.fetch_add(1) + 1,
+               pending.size(), groupLabel(first.spec, first.env).c_str());
+    };
+
+    // Workers claim groups in order until none is left.
+    const std::size_t workers = std::min<std::size_t>(
+        jobs_ != 0 ? jobs_ : jobsFromEnv(), pending.size());
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < workers; ++i) {
+        threads.emplace_back([&] {
+            for (std::size_t g = nextGroup++; g < pending.size();
+                 g = nextGroup++)
+                runGroup(*pending[g]);
         });
     }
-    pool.wait();
+    for (std::thread &thread : threads)
+        thread.join();
 
     if (journaled) {
         sigaction(SIGINT, &oldInt, nullptr);

@@ -10,10 +10,12 @@
  * part of an experiment, and a run may mutate its Environment (demand
  * faults, workload cursors). Cells are therefore grouped by their
  * (workload spec, environment options) signature; each group owns one
- * Environment and executes its cells serially in declaration order,
- * while distinct groups run concurrently on a work-stealing pool. This
- * makes aggregated results bit-identical regardless of thread count
- * (ASAP_JOBS=1 and ASAP_JOBS=N agree exactly).
+ * Environment and executes its cells serially in declaration order.
+ * Up to ASAP_JOBS worker threads claim groups in turn; under
+ * ASAP_CELL_TIMEOUT each cell attempt runs on a thread of its own that
+ * the worker waits on and can abandon. This makes aggregated results
+ * bit-identical regardless of thread count (ASAP_JOBS=1 and
+ * ASAP_JOBS=N agree exactly).
  */
 
 #ifndef ASAP_EXP_SWEEP_HH
@@ -48,8 +50,9 @@ struct Cell
      *  inspect the constructed Environment, e.g. Table 2). */
     bool measure = true;
 
-    /** Optional inspector run on the group thread after the (optional)
-     *  simulation; fills CellResult::extra from Environment state. */
+    /** Optional inspector run by the cell's attempt after the
+     *  (optional) simulation; fills CellResult::extra from Environment
+     *  state. */
     std::function<void(Environment &, CellResult &)> probe;
 };
 
@@ -166,8 +169,9 @@ class ResultSet
 };
 
 /**
- * Executes sweeps. Thread count comes from the constructor argument,
- * or (when 0) from ASAP_JOBS / hardware concurrency.
+ * Executes sweeps. The worker count comes from the constructor
+ * argument, or (when 0) from ASAP_JOBS when that is a positive integer,
+ * else from the hardware concurrency.
  */
 class SweepRunner
 {

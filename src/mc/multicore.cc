@@ -110,14 +110,6 @@ MultiCoreSimulator::coreTlb(unsigned core)
     return *cores_[core].tlb;
 }
 
-MemoryHierarchy &
-MultiCoreSimulator::coreMem(unsigned core)
-{
-    panic_if(core >= cores_.size(), "core %u out of %zu", core,
-             cores_.size());
-    return *cores_[core].mem;
-}
-
 Machine &
 MultiCoreSimulator::machineOf(unsigned tenant, unsigned core)
 {

@@ -154,7 +154,6 @@ class MultiCoreSimulator
     // -- Introspection (tests, tools) ----------------------------------
 
     TlbHierarchy &coreTlb(unsigned core);
-    MemoryHierarchy &coreMem(unsigned core);
     Machine &machineOf(unsigned tenant, unsigned core);
 
     /**

@@ -99,9 +99,6 @@ Timeline::sample(std::uint64_t measuredAccesses, Cycles now,
                  const Counters &counters, const Histogram &walkHist,
                  const Histogram &dataHist, const Counters &gauges)
 {
-    if (!enabled_)
-        return;
-
     if (epochs_.empty()) {
         counterNames_.reserve(counters.size());
         for (const auto &counter : counters)

@@ -26,8 +26,8 @@
  * run's AccessStream in epoch-sized steps. Every workload draws
  * addresses one at a time from its generation core, so the chunking
  * replays the identical access stream — the access loop carries zero
- * new branches and a run with a Timeline attached and enabled is
- * bit-identical to one without (Golden suite). Like TraceSink, the probe is a null-by-default
+ * new branches and a run with a Timeline attached is bit-identical to
+ * one without (Golden suite). Like TraceSink, the probe is a null-by-default
  * pointer: detached costs nothing anywhere.
  *
  * Sinks: fsync'd JSONL and CSV artifacts (u64-safe decimal strings,
@@ -98,9 +98,6 @@ class Timeline
         : epochAccesses_(epochAccesses)
     {}
 
-    bool enabled() const { return enabled_; }
-    void setEnabled(bool enabled) { enabled_ = enabled; }
-
     std::uint64_t epochAccesses() const { return epochAccesses_; }
 
     /**
@@ -110,7 +107,7 @@ class Timeline
      * boundary; @p gauges are stored as-is. The first call fixes the
      * counter/gauge name lists; later calls must present the same
      * lists (same machine, same run) — a mismatch is a programming
-     * error. No-op while disabled.
+     * error.
      */
     void
     sample(std::uint64_t measuredAccesses, Cycles now,
@@ -162,7 +159,6 @@ class Timeline
 
   private:
     std::uint64_t epochAccesses_;
-    bool enabled_ = false;
 
     std::vector<std::string> counterNames_;
     std::vector<std::string> gaugeNames_;

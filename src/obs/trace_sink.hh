@@ -6,10 +6,9 @@
  *
  * Zero-cost-when-off contract: components hold a `TraceSink *` that is
  * null by default, so the hot path pays one never-taken branch per
- * emission site and nothing else. An *attached* sink can additionally
- * be disabled (setEnabled(false)): every emit method then returns
- * without touching the ring, which is what the golden-equivalence test
- * exercises — observation must never perturb the model.
+ * emission site and nothing else. An attached sink records every
+ * event; the golden-equivalence test checks that doing so never
+ * perturbs the model.
  *
  * Events are fixed-size PODs (kind + track + three uint64 args); the
  * ring overwrites the oldest events once full and counts the overwritten
@@ -84,10 +83,7 @@ class TraceSink
 
     explicit TraceSink(std::size_t capacity = defaultCapacity);
 
-    bool enabled() const { return enabled_; }
-    void setEnabled(bool enabled) { enabled_ = enabled; }
-
-    // -- Emission (all no-ops while disabled) --------------------------
+    // -- Emission ------------------------------------------------------
 
     void
     walkSpan(Cycles start, Cycles duration, VirtAddr va, bool faulted,
@@ -207,8 +203,6 @@ class TraceSink
     void
     push(const TraceEvent &event)
     {
-        if (!enabled_)
-            return;
         ring_[head_] = event;
         head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
         ++total_;
@@ -217,7 +211,6 @@ class TraceSink
     std::vector<TraceEvent> ring_;
     std::size_t head_ = 0;       ///< next write slot
     std::uint64_t total_ = 0;    ///< lifetime emissions
-    bool enabled_ = false;
 };
 
 } // namespace asap::obs

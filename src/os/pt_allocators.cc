@@ -78,7 +78,7 @@ AsapPtAllocator::onVmaCreated(const Vma &vma)
 }
 
 void
-AsapPtAllocator::onVmaGrown(const Vma &vma, VirtAddr oldEnd,
+AsapPtAllocator::onVmaGrown(const Vma &vma, VirtAddr,
                             FrameRelocator *relocator)
 {
     if (!vma.prefetchable)
@@ -245,7 +245,7 @@ AsapPtAllocator::allocNodeFrame(unsigned level, VirtAddr va)
 }
 
 void
-AsapPtAllocator::freeNodeFrame(unsigned level, Pfn pfn)
+AsapPtAllocator::freeNodeFrame(unsigned, Pfn pfn)
 {
     // Region frames stay reserved until the VMA (and its region) dies;
     // only buddy-fallback frames go back to the buddy allocator.

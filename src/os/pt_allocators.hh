@@ -55,16 +55,14 @@ class VmaObserver
 {
   public:
     virtual ~VmaObserver() = default;
-    virtual void onVmaCreated(const Vma &vma) {}
-    virtual void
-    onVmaGrown(const Vma &vma, VirtAddr oldEnd, FrameRelocator *relocator)
-    {}
+    virtual void onVmaCreated(const Vma &) {}
+    virtual void onVmaGrown(const Vma &, VirtAddr, FrameRelocator *) {}
     /**
      * The VMA is being destroyed (munmap, dyn subsystem). Fired after
      * its page-table nodes have been pruned, so reserved PT regions can
      * release their physical runs in one piece.
      */
-    virtual void onVmaRemoved(const Vma &vma) {}
+    virtual void onVmaRemoved(const Vma &) {}
 };
 
 /** Linux-style placement: nodes scattered by the buddy allocator. */
@@ -74,13 +72,13 @@ class BuddyPtAllocator : public PtNodeAllocator
     explicit BuddyPtAllocator(BuddyAllocator &buddy) : buddy_(buddy) {}
 
     Pfn
-    allocNodeFrame(unsigned level, VirtAddr va) override
+    allocNodeFrame(unsigned, VirtAddr) override
     {
         return buddy_.allocFrame();
     }
 
     void
-    freeNodeFrame(unsigned level, Pfn pfn) override
+    freeNodeFrame(unsigned, Pfn pfn) override
     {
         buddy_.freeFrame(pfn);
     }
@@ -114,13 +112,6 @@ class AsapPtAllocator : public PtNodeAllocator, public VmaObserver
         slotOf(VirtAddr va) const
         {
             return (va - vaBase) >> (levelShift(level) + levelBits);
-        }
-
-        /** Physical address of the node for @p va (descriptor math). */
-        PhysAddr
-        nodeAddrOf(VirtAddr va) const
-        {
-            return (basePfn + slotOf(va)) << pageShift;
         }
 
         /**

@@ -212,26 +212,6 @@ PageTable::readEntry(Pfn nodePfn, VirtAddr va, unsigned level) const
     return n->entries[levelIndex(va, level)];
 }
 
-void
-PageTable::setAccessed(VirtAddr va, bool dirty)
-{
-    PtNodeIndex nodeIndex = rootIndex_;
-    for (unsigned level = levels_; level >= 1; --level) {
-        PtNode &node = slab_[nodeIndex];
-        const unsigned slot = levelIndex(va, level);
-        Pte &entry = node.entries[slot];
-        if (!entry.present())
-            return;
-        if (entry.isLeaf(level)) {
-            entry.setAccessed();
-            if (dirty)
-                entry.setDirty();
-            return;
-        }
-        nodeIndex = node.children[slot];
-    }
-}
-
 std::uint64_t
 PageTable::nodeCountAtLevel(unsigned level) const
 {

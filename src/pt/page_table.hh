@@ -219,9 +219,6 @@ class PageTable
     /** Read the entry for @p va in the node at @p nodePfn / @p level. */
     Pte readEntry(Pfn nodePfn, VirtAddr va, unsigned level) const;
 
-    /** Mark the leaf entry accessed/dirty (OS metadata path). */
-    void setAccessed(VirtAddr va, bool dirty = false);
-
     /** Total number of *live* PT node pages (Table 2 "PT page count"). */
     std::uint64_t nodeCount() const { return slab_.size() - deadNodes_; }
 

@@ -74,15 +74,13 @@ class Environment
                  obs::TraceSink *sink = nullptr,
                  obs::Timeline *timeline = nullptr);
 
-    /** Wall-clock cost of building this environment (System +
-     *  prefault); copied into each run's self-profile. */
-    double setupSeconds() const { return setupSeconds_; }
-
   private:
     WorkloadSpec spec_;
     EnvironmentOptions options_;
     std::unique_ptr<System> system_;
     std::unique_ptr<Workload> workload_;
+    /** Wall-clock cost of building this environment (System +
+     *  prefault); copied into each run's self-profile. */
     double setupSeconds_ = 0.0;
 };
 

@@ -202,7 +202,6 @@ class Machine : public ShootdownTarget
     PageWalkCaches &appPwc() { return appPwc_; }
     const AsapEngine *appEngine() const { return appEngine_.get(); }
     const AsapEngine *hostEngine() const { return hostEngine_.get(); }
-    RangeRegisterFile &appRegisters() { return appRegisters_; }
 
     std::uint64_t walks() const;
     std::uint64_t faults() const { return faultsServiced_; }

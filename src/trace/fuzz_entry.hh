@@ -1,6 +1,6 @@
 /**
  * @file
- * Library-side bodies of the libFuzzer targets (fuzz/*.cc are thin
+ * Library-side bodies of the libFuzzer targets (the fuzz/ sources are thin
  * LLVMFuzzerTestOneInput wrappers around these).
  *
  * Living in the library keeps the harness logic testable without a

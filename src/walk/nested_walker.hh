@@ -80,8 +80,6 @@ class NestedWalker
 
     NestedWalkResult walk(VirtAddr va, Cycles now);
 
-    void setGuestHook(PrefetchHook *hook) { guestHook_ = hook; }
-
     std::uint64_t walks() const { return walks_; }
     std::uint64_t faults() const { return faults_; }
 

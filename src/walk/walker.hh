@@ -109,7 +109,6 @@ class PageWalker
         return result;
     }
 
-    void setHook(PrefetchHook *hook) { hook_ = hook; }
     PageWalkCaches &pwc() { return pwc_; }
 
     std::uint64_t walks() const { return walks_; }

@@ -109,17 +109,6 @@ class TraceReplayWorkload : public Workload
 
     const TraceFile &trace() const { return *trace_; }
 
-    /** representedAccesses / accessCount — multiply count-type RunStats
-     *  by this to estimate full-capture numbers when replaying a
-     *  sampled (1-in-N chunk) trace; 1.0 for full traces. */
-    double
-    sampleScale() const
-    {
-        const TraceHeader &header = trace_->header();
-        return static_cast<double>(header.representedAccesses) /
-               static_cast<double>(header.accessCount);
-    }
-
   private:
     std::unique_ptr<TraceFile> trace_;
     TraceCursor cursor_;

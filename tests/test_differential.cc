@@ -234,9 +234,8 @@ TEST(Differential, RandomConfigsAgreeAcrossTranslationPaths)
     }
 }
 
-/** The off-hot-path OS metadata walk (setAccessed) and the slab/index
- *  agreement: every PT node reachable by index is the node the
- *  frame-keyed map returns for its pfn. */
+/** The slab/index agreement: every PT node reachable by index is the
+ *  node the frame-keyed map returns for its pfn. */
 TEST(Differential, SlabIndexAndFrameMapAgree)
 {
     for (unsigned iter = 0; iter < 20; ++iter) {

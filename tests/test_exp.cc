@@ -1,21 +1,21 @@
 /**
  * @file
- * Tests for the experiment-orchestration subsystem (src/exp): thread
- * pool, JSON model, ResultTable round-trips, sweep determinism across
- * thread counts, per-cell seed derivation, and the AsapEngine counters
- * surfaced through RunStats.
+ * Tests for the experiment-orchestration subsystem (src/exp): JSON
+ * model, ResultTable emission, sweep determinism across thread counts
+ * and the ASAP_JOBS fallback, per-cell seed derivation, and the
+ * AsapEngine counters surfaced through RunStats.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
+#include <cstdlib>
+#include <optional>
+#include <string>
 
 #include "core/asap_engine.hh"
 #include "exp/json.hh"
 #include "exp/result_table.hh"
 #include "exp/sweep.hh"
-#include "exp/thread_pool.hh"
 #include "workloads/suite.hh"
 
 using namespace asap;
@@ -65,55 +65,6 @@ expectIdenticalStats(const RunStats &a, const RunStats &b)
 } // namespace
 
 // ---------------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.threadCount(), 4u);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&counter] { ++counter; });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusable)
-{
-    ThreadPool pool(2);
-    std::atomic<int> counter{0};
-    pool.submit([&counter] { ++counter; });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 1);
-    pool.submit([&counter] { ++counter; });
-    pool.submit([&counter] { ++counter; });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 3);
-}
-
-TEST(ThreadPool, UnevenTasksGetStolen)
-{
-    // More tasks than threads with wildly uneven durations: all finish.
-    ThreadPool pool(3);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 30; ++i) {
-        pool.submit([&counter, i] {
-            if (i % 7 == 0)
-                std::this_thread::sleep_for(std::chrono::milliseconds(5));
-            ++counter;
-        });
-    }
-    pool.wait();
-    EXPECT_EQ(counter.load(), 30);
-}
-
-TEST(ThreadPool, JobsFromEnvDefaultsPositive)
-{
-    EXPECT_GE(ThreadPool::jobsFromEnv(), 1u);
-}
-
-// ---------------------------------------------------------------------------
 // Json
 // ---------------------------------------------------------------------------
 
@@ -135,7 +86,7 @@ TEST(Json, DumpParseRoundTrip)
         ASSERT_TRUE(parsed.has_value());
         EXPECT_EQ(parsed->find("title")->asString(), "fig\"3\"");
         EXPECT_TRUE(parsed->find("enabled")->asBool());
-        EXPECT_TRUE(parsed->find("nothing")->isNull());
+        EXPECT_EQ(parsed->find("nothing")->type(), Json::Type::Null);
         const auto &items = parsed->find("values")->items();
         ASSERT_EQ(items.size(), 4u);
         EXPECT_DOUBLE_EQ(items[0].asNumber(), 1.5);
@@ -169,6 +120,26 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_FALSE(Json::parse("nope").has_value());
     EXPECT_FALSE(Json::parse("\"\\u12yz\"").has_value());
     EXPECT_FALSE(Json::parse("\"\\q\"").has_value());
+    // Numbers outside JSON's grammar, most of which strtod takes;
+    // 1e400 is valid syntax but overflows a double.
+    for (const char *text : {"inf", "-inf", "NaN", "nan", "1e400", "0x10",
+                             "+3", ".5", "5.", "01", "-", "1e", "1e+",
+                             "- 1", "infinity"}) {
+        EXPECT_FALSE(Json::parse(text).has_value()) << text;
+        EXPECT_FALSE(
+            Json::parse(std::string("[") + text + "]").has_value())
+            << text;
+    }
+}
+
+TEST(Json, ParsesEveryJsonNumberForm)
+{
+    for (const char *text : {"0", "-0", "7", "-12", "3.25", "1e3", "1E+3",
+                             "2.5e-3", "-0.0e0", "6.02214076e+23"}) {
+        const auto parsed = Json::parse(text);
+        ASSERT_TRUE(parsed.has_value()) << text;
+        EXPECT_EQ(parsed->asNumber(), std::strtod(text, nullptr)) << text;
+    }
 }
 
 TEST(Json, ParsesUnicodeEscapes)
@@ -217,56 +188,25 @@ TEST(ResultTable, AverageRowAveragesColumns)
     EXPECT_DOUBLE_EQ(avg.second[1], (375.5 + 168.75) / 2.0);
 }
 
-TEST(ResultTable, CsvRoundTrip)
+TEST(ResultTable, CsvLayout)
 {
-    const ResultTable table = sampleTable();
-    const auto parsed = ResultTable::fromCsv(table.toCsv());
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->title(), table.title());
-    EXPECT_EQ(parsed->columns(), table.columns());
-    EXPECT_EQ(parsed->format(), table.format());
-    ASSERT_EQ(parsed->rows().size(), table.rows().size());
-    for (std::size_t i = 0; i < table.rows().size(); ++i) {
-        EXPECT_EQ(parsed->rows()[i].first, table.rows()[i].first);
-        ASSERT_EQ(parsed->rows()[i].second.size(),
-                  table.rows()[i].second.size());
-        for (std::size_t j = 0; j < table.rows()[i].second.size(); ++j) {
-            EXPECT_DOUBLE_EQ(parsed->rows()[i].second[j],
-                             table.rows()[i].second[j]);
-        }
-    }
+    EXPECT_EQ(sampleTable().toCsv(),
+              "# Figure X: things\n"
+              "# format: %10.2f\n"
+              "row,native,virt\n"
+              "mcf,176.25,375.5\n"
+              "redis,71,168.75\n"
+              "Average,123.625,272.125\n");
 }
 
-TEST(ResultTable, JsonRoundTrip)
+TEST(ResultTable, JsonLayout)
 {
-    const ResultTable table = sampleTable();
-    const auto doc = Json::parse(table.toJson().dump(2));
-    ASSERT_TRUE(doc.has_value());
-    const auto parsed = ResultTable::fromJson(*doc);
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->title(), table.title());
-    EXPECT_EQ(parsed->columns(), table.columns());
-    ASSERT_EQ(parsed->rows().size(), table.rows().size());
-    for (std::size_t i = 0; i < table.rows().size(); ++i) {
-        for (std::size_t j = 0; j < table.rows()[i].second.size(); ++j) {
-            EXPECT_DOUBLE_EQ(parsed->rows()[i].second[j],
-                             table.rows()[i].second[j]);
-        }
-    }
-}
-
-TEST(ResultTable, FromCsvRejectsGarbage)
-{
-    EXPECT_FALSE(ResultTable::fromCsv("").has_value());
-    EXPECT_FALSE(ResultTable::fromCsv("not,a,table\n1,2,3\n").has_value());
-}
-
-TEST(ResultTable, FromCsvToleratesBareCommentLines)
-{
-    const auto parsed = ResultTable::fromCsv("#\n# \nrow,a\nx,1\n");
-    ASSERT_TRUE(parsed.has_value());
-    ASSERT_EQ(parsed->rows().size(), 1u);
-    EXPECT_DOUBLE_EQ(parsed->rows()[0].second[0], 1.0);
+    EXPECT_EQ(sampleTable().toJson().dump(),
+              "{\"title\":\"Figure X: things\",\"format\":\"%10.2f\","
+              "\"columns\":[\"native\",\"virt\"],\"rows\":["
+              "{\"name\":\"mcf\",\"values\":[176.25,375.5]},"
+              "{\"name\":\"redis\",\"values\":[71,168.75]},"
+              "{\"name\":\"Average\",\"values\":[123.625,272.125]}]}");
 }
 
 // ---------------------------------------------------------------------------
@@ -317,6 +257,31 @@ TEST(Sweep, ThreadCountInvariance)
     // And the emitted artifacts agree byte-for-byte.
     EXPECT_EQ(serial.toCsv(), parallel.toCsv());
     EXPECT_EQ(serial.toJson().dump(2), parallel.toJson().dump(2));
+}
+
+TEST(Sweep, JobsFallBackWhenAsapJobsIsUnsetZeroOrJunk)
+{
+    // SweepRunner(0) reads ASAP_JOBS; anything but a positive integer
+    // falls back to the hardware concurrency, never to zero workers.
+    const std::string serial = SweepRunner(1).run(tinySweep()).toCsv();
+    const char *old = std::getenv("ASAP_JOBS");
+    const std::optional<std::string> saved =
+        old ? std::optional<std::string>(old) : std::nullopt;
+    for (const char *value : {static_cast<const char *>(nullptr), "0",
+                              "four", "2x", "-3"}) {
+        if (value)
+            ::setenv("ASAP_JOBS", value, 1);
+        else
+            ::unsetenv("ASAP_JOBS");
+        const ResultSet results = SweepRunner(0).run(tinySweep());
+        for (const CellResult &cell : results.cells())
+            EXPECT_EQ(cell.attempts, 1u) << (value ? value : "unset");
+        EXPECT_EQ(results.toCsv(), serial) << (value ? value : "unset");
+    }
+    if (saved)
+        ::setenv("ASAP_JOBS", saved->c_str(), 1);
+    else
+        ::unsetenv("ASAP_JOBS");
 }
 
 TEST(Sweep, RepeatedRunsAreDeterministic)

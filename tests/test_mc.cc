@@ -461,7 +461,6 @@ TEST(McIpi, ShootdownCostLandsOnInitiatingTenant)
     TenantHarness t0 = makeTenant(churny, {});
     TenantHarness t1 = makeTenant(quiet, {});
     obs::TraceSink sink(1u << 16);
-    sink.setEnabled(true);
     sim.addTenant(*t0.system, *t0.workload);
     sim.addTenant(*t1.system, *t1.workload);
     sim.attachTraceSink(&sink);
@@ -513,7 +512,6 @@ TEST(McTimeline, PerCoreGaugesAndDeltaSumIdentity)
                       *tenants.back().workload);
     }
     obs::Timeline timeline(4'000);
-    timeline.setEnabled(true);
     sim.attachTimeline(&timeline);
     const mc::McResult result = sim.run(run);
 

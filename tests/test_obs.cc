@@ -3,8 +3,8 @@
  * Unit tests for src/obs: histogram bucket math and percentiles,
  * merge associativity, trace-sink ring semantics and Chrome-JSON
  * export, counter-registry uniqueness — and the layer's core contract,
- * golden equivalence: attaching a trace sink (disabled or enabled)
- * must not perturb the simulated model by a single cycle.
+ * golden equivalence: attaching a recording trace sink must not
+ * perturb the simulated model by a single cycle.
  */
 
 #include <cstdint>
@@ -130,20 +130,9 @@ TEST(ObsHistogram, MergeIsAssociativeAndCommutative)
     EXPECT_EQ(leftFold.p999(), rightFold.p999());
 }
 
-TEST(TraceSink, DisabledSinkRecordsNothing)
-{
-    obs::TraceSink sink(16);
-    EXPECT_FALSE(sink.enabled());   // attach-but-disabled is the default
-    sink.walkSpan(100, 30, 0x1000, false, 0);
-    sink.fault(200, 0x2000);
-    EXPECT_EQ(sink.size(), 0u);
-    EXPECT_EQ(sink.emitted(), 0u);
-}
-
 TEST(TraceSink, RingOverwritesOldestAndCountsDrops)
 {
     obs::TraceSink sink(4);
-    sink.setEnabled(true);
     for (std::uint64_t i = 0; i < 6; ++i)
         sink.fault(/*at=*/100 + i, /*va=*/0x1000 * i);
     EXPECT_EQ(sink.size(), 4u);
@@ -162,7 +151,6 @@ TEST(TraceSink, RingOverwritesOldestAndCountsDrops)
 TEST(TraceSink, ChromeJsonParsesBack)
 {
     obs::TraceSink sink(64);
-    sink.setEnabled(true);
     sink.walkSpan(10, 40, 0x7f0000001000, false,
                   obs::packWalkLevel(
                       obs::packWalkLevel(0, 4, /*Pwc=*/0), 1,
@@ -293,29 +281,21 @@ expectEqual(const golden::Expect &a, const golden::Expect &b,
 
 /**
  * The observability invariant: the six pinned golden scenarios produce
- * bit-identical RunStats with a sink attached and idle, AND with the
- * sink actively recording — observation must never perturb the model.
- * (Styled after tests/test_dyn.cc's attached-but-idle subsystem test;
- * the pinned literals themselves live in tests/test_sim.cc.)
+ * bit-identical RunStats with a sink attached and recording —
+ * observation must never perturb the model. (The pinned literals
+ * themselves live in tests/test_sim.cc.)
  */
-TEST(GoldenEquivalence, SinkAttachedDisabledAndEnabled)
+TEST(GoldenEquivalence, SinkAttachedAndRecording)
 {
     for (const golden::Scenario &scenario : golden::goldenScenarios()) {
         const golden::Expect baseline =
             golden::flatten(golden::runScenario(scenario));
 
-        obs::TraceSink idle(1u << 16);   // attached, never enabled
-        expectEqual(baseline,
-                    golden::flatten(runScenarioWithSink(scenario, idle)),
-                    scenario.name + "/disabled");
-        EXPECT_EQ(idle.emitted(), 0u) << scenario.name;
-
         obs::TraceSink active(1u << 16);
-        active.setEnabled(true);
         const RunStats traced = runScenarioWithSink(scenario, active);
         expectEqual(baseline, golden::flatten(traced),
-                    scenario.name + "/enabled");
-        // The run TLB-misses, so an enabled sink must have seen walks.
+                    scenario.name + "/recording");
+        // The run TLB-misses, so the sink must have seen walks.
         EXPECT_GT(active.emitted(), 0u) << scenario.name;
         const bool nested = scenario.env.virtualized;
         EXPECT_GT(active.countOf(nested

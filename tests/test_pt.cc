@@ -188,18 +188,6 @@ TEST_F(PtFixture, EntryPhysAddr)
               (0x100ull << 12) + 40);
 }
 
-TEST_F(PtFixture, SetAccessedDirty)
-{
-    pt.map(0x1000, 1);
-    pt.setAccessed(0x1000, /*dirty=*/true);
-    Pfn node = pt.rootPfn();
-    for (unsigned level = 4; level >= 2; --level)
-        node = pt.readEntry(node, 0x1000, level).pfn();
-    const Pte leaf = pt.readEntry(node, 0x1000, 1);
-    EXPECT_TRUE(leaf.accessed());
-    EXPECT_TRUE(leaf.dirty());
-}
-
 TEST_F(PtFixture, ContiguousRegionCounting)
 {
     // Buddy hands out ascending frames on a fresh allocator, so the

@@ -12,11 +12,14 @@
  * N probe hits" land on a known cell.
  */
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -448,19 +451,26 @@ TEST(RobustSweep, TransientFaultRetriesThenMatchesCleanRun)
     exp::SweepSpec sweep("robust_retry");
     sweep.add(tinySpec(), {}, MachineConfig{}, tinyRun(), "r", "c");
 
-    fault::reconfigure("cell:1");   // first attempt only
-    const exp::ResultSet faulted = exp::SweepRunner(1).run(sweep);
-    EXPECT_TRUE(faulted.cell("r", "c").status.ok());
-    EXPECT_EQ(faulted.cell("r", "c").attempts, 2u);
-
     fault::reconfigure(nullptr);
     const exp::ResultSet clean = exp::SweepRunner(1).run(sweep);
     EXPECT_EQ(clean.cell("r", "c").attempts, 1u);
 
-    // A retried cell runs on a rebuilt Environment, so its measured
-    // results are bit-identical to a run that never faulted (the JSON
-    // artifact legitimately differs in its "attempts" field).
-    EXPECT_EQ(faulted.toCsv(), clean.toCsv());
+    // A failing first attempt, then (under a timeout, where attempts
+    // run on threads of their own) one whose thread cannot start.
+    for (const auto &[spec, seconds] :
+         {std::pair<const char *, const char *>{"cell:1", nullptr},
+          {"attempt-thread:1", "60"}}) {
+        SCOPED_TRACE(spec);
+        ScopedEnv bound("ASAP_CELL_TIMEOUT", seconds);
+        fault::reconfigure(spec);
+        const exp::ResultSet faulted = exp::SweepRunner(1).run(sweep);
+        EXPECT_TRUE(faulted.cell("r", "c").status.ok());
+        EXPECT_EQ(faulted.cell("r", "c").attempts, 2u);
+        // A retried cell runs on a rebuilt Environment, so its measured
+        // results are bit-identical to a run that never faulted (the
+        // JSON artifact legitimately differs in its "attempts" field).
+        EXPECT_EQ(faulted.toCsv(), clean.toCsv());
+    }
 }
 
 TEST(RobustSweep, HungCellTimesOutAndSiblingCompletes)
@@ -488,6 +498,37 @@ TEST(RobustSweep, HungCellTimesOutAndSiblingCompletes)
     const exp::CellResult &fine = out.cell("r", "fine");
     EXPECT_TRUE(fine.status.ok());
     EXPECT_TRUE(fine.measured);
+}
+
+TEST(RobustSweep, AbandonedAttemptWritesNoArtifact)
+{
+    FaultGuard guard;
+    ScopedEnv retries("ASAP_CELL_RETRIES", "0");
+    ScopedEnv timeout("ASAP_CELL_TIMEOUT", "1");
+    ScopedEnv resume("ASAP_RESUME", nullptr);
+    ScopedEnv timeline("ASAP_TIMELINE", "1");
+    TempDir dir("robust_results_abandoned");
+    ScopedEnv results("ASAP_RESULTS_DIR", dir.path().c_str());
+
+    exp::SweepSpec sweep("robust_abandoned");
+    sweep.add(tinySpec(), {}, MachineConfig{}, tinyRun(), "r", "hung");
+    sweep.add(tinySpec(), {}, MachineConfig{}, tinyRun(), "r", "fine");
+
+    fault::reconfigure("cell-hang:1");
+    const exp::ResultSet out = exp::SweepRunner(1).run(sweep);
+    EXPECT_EQ(out.cell("r", "hung").status.code(),
+              StatusCode::DeadlineExceeded);
+    ASSERT_TRUE(out.cell("r", "fine").status.ok());
+    const std::string stem = dir.path() + "/robust_abandoned_timeline_r_";
+    EXPECT_TRUE(std::filesystem::exists(stem + "fine.jsonl"));
+
+    // The abandoned attempt sees its cancel within one 100 ms poll of
+    // the hang probe. Had it gone on to build and run its tiny cell, it
+    // would have written the timeline well inside this window.
+    const std::string hung = stem + "hung.jsonl";
+    for (int i = 0; i < 20 && !std::filesystem::exists(hung); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_FALSE(std::filesystem::exists(hung));
 }
 
 // ---------------------------------------------------------------------------
@@ -604,6 +645,66 @@ TEST(Journal, ResumeReproducesArtifactsByteForByte)
         EXPECT_EQ(out.toJson().dump(2), jsonRef);
         for (const exp::CellResult &cell : out.cells())
             EXPECT_TRUE(cell.resumed);
+    }
+}
+
+TEST(Journal, OutOfRangeNumbersAreNeverRestored)
+{
+    FaultGuard guard;
+    ScopedEnv retries("ASAP_CELL_RETRIES", "0");
+    ScopedEnv timeout("ASAP_CELL_TIMEOUT", nullptr);
+    TempDir dir("robust_results_badnumbers");
+    ScopedEnv results("ASAP_RESULTS_DIR", dir.path().c_str());
+
+    WorkloadSpec other = tinySpec("robustother");
+    other.residentPages = 2'000;
+    exp::SweepSpec sweep("robust_badnumbers");
+    sweep.add(tinySpec(), {}, MachineConfig{}, tinyRun(), "r", "a");
+    sweep.add(tinySpec(), {}, MachineConfig{}, tinyRun(), "r", "b");
+    sweep.add(other, {}, MachineConfig{}, tinyRun(), "s", "a");
+
+    std::string csvRef, jsonRef;
+    {
+        ScopedEnv resume("ASAP_RESUME", nullptr);
+        const exp::ResultSet ref = exp::SweepRunner(1).run(sweep);
+        csvRef = ref.toCsv();
+        jsonRef = ref.toJson().dump(2);
+    }
+    const std::string journalPath =
+        exp::CellJournal::pathFor("robust_badnumbers");
+    const std::string journalRef = readAll(journalPath);
+
+    // Corrupt one number of the header or of cell 0's record. Every
+    // value here is a negative, fractional, out-of-range or non-JSON
+    // number; none may be cast into a restored index or attempt count.
+    const std::string header = "\"cells\":3";
+    const std::string cell = "{\"cell\":0,";
+    const std::string attempts = "\"attempts\":1,";
+    const std::vector<std::pair<std::string, std::string>> edits = {
+        {cell, "{\"cell\":-1,"},         {cell, "{\"cell\":1.5,"},
+        {cell, "{\"cell\":1e400,"},      {cell, "{\"cell\":inf,"},
+        {cell, "{\"cell\":NaN,"},        {cell, "{\"cell\":-0.5,"},
+        {cell, "{\"cell\":0x0,"},        {cell, "{\"cell\":+0,"},
+        {attempts, "\"attempts\":-1,"},  {attempts, "\"attempts\":1.5,"},
+        {attempts, "\"attempts\":1e400,"}, {attempts, "\"attempts\":inf,"},
+        {attempts, "\"attempts\":NaN,"}, {attempts, "\"attempts\":1e10,"},
+        {header, "\"cells\":-3"},        {header, "\"cells\":3.5"},
+        {header, "\"cells\":inf"},
+    };
+    for (const auto &[from, to] : edits) {
+        SCOPED_TRACE(to);
+        std::string journal = journalRef;
+        const std::size_t at =
+            journal.find(from, from == header ? 0 : journal.find('\n'));
+        ASSERT_NE(at, std::string::npos);
+        writeAll(journalPath, journal.replace(at, from.size(), to));
+
+        ScopedEnv resume("ASAP_RESUME", "1");
+        const exp::ResultSet out = exp::SweepRunner(1).run(sweep);
+        EXPECT_FALSE(out.cell("r", "a").resumed);
+        EXPECT_EQ(out.toCsv(), csvRef);
+        EXPECT_EQ(out.toJson().dump(2), jsonRef);
+        EXPECT_EQ(readAll(journalPath), journalRef);
     }
 }
 

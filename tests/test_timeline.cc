@@ -2,7 +2,7 @@
  * @file
  * obs::Timeline: epoch boundary arithmetic, the delta-sum == lifetime
  * identity, histogram diffing, golden bit-identity with a timeline
- * attached and enabled (generated and replayed), artifact invariance
+ * attached (generated and replayed), artifact invariance
  * across ASAP_JOBS / ASAP_TIMELINE, Perfetto counter-track parse-back,
  * and the recoverable "timeline-write" fault path.
  *
@@ -117,7 +117,6 @@ TEST(Timeline, EpochBoundariesWithPartialFinalEpoch)
     constexpr std::uint64_t epochLen = 4'500;   // 16000 = 3*4500 + 2500
 
     obs::Timeline timeline(epochLen);
-    timeline.setEnabled(true);
     runScenarioWithTimeline(scenario, timeline, measure);
 
     ASSERT_EQ(timeline.epochCount(), 4u);
@@ -148,7 +147,6 @@ TEST(Timeline, ExactDivisionProducesNoEmptyEpoch)
 {
     const golden::Scenario scenario = golden::goldenScenarios()[0];
     obs::Timeline timeline(4'000);
-    timeline.setEnabled(true);
     runScenarioWithTimeline(scenario, timeline, 16'000);
 
     ASSERT_EQ(timeline.epochCount(), 4u);
@@ -172,7 +170,6 @@ TEST(Timeline, DeltaSumEqualsLifetimeCounters)
     for (const golden::Scenario &scenario : golden::goldenScenarios()) {
         SCOPED_TRACE(scenario.name);
         obs::Timeline timeline(3'000);
-        timeline.setEnabled(true);
         const RunStats stats =
             runScenarioWithTimeline(scenario, timeline);
 
@@ -229,8 +226,8 @@ TEST(Timeline, HistogramDiffRecoversInterval)
 // Golden bit-identity
 // ---------------------------------------------------------------------------
 
-/** A run with a timeline attached and enabled must be bit-identical to
- *  the plain run, across all six pinned scenarios — observation never
+/** A run with a timeline attached must be bit-identical to the plain
+ *  run, across all six pinned scenarios — observation never
  *  perturbs the model. */
 TEST(GoldenEquivalence, TimelineAttachedAndEnabled)
 {
@@ -239,7 +236,6 @@ TEST(GoldenEquivalence, TimelineAttachedAndEnabled)
         const RunStats baseline = golden::runScenario(scenario);
 
         obs::Timeline timeline(2'048);   // does not divide 16000
-        timeline.setEnabled(true);
         const RunStats timed =
             runScenarioWithTimeline(scenario, timeline);
 
@@ -276,7 +272,6 @@ TEST(GoldenEquivalence, TraceReplayTimelineMatchesSerial)
 
     Environment timed(spec, scenario.env);
     obs::Timeline timeline(3'777);
-    timeline.setEnabled(true);
     const RunStats withTimeline =
         timed.run(scenario.machine, run, nullptr, &timeline);
 
@@ -369,11 +364,9 @@ TEST(Timeline, ChromeCounterTracksParseBack)
     workload->setup(system);
     Machine machine(system, scenario.machine);
     obs::TraceSink sink(1u << 16);
-    sink.setEnabled(true);
     machine.attachTraceSink(&sink);
     Simulator simulator(system, machine, *workload);
     obs::Timeline timeline(4'000);
-    timeline.setEnabled(true);
     simulator.attachTimeline(&timeline);
     simulator.run(golden::goldenRunConfig(scenario.colocation));
 
@@ -429,7 +422,6 @@ TEST(Timeline, WriteFaultIsRecoverable)
 {
     const golden::Scenario scenario = golden::goldenScenarios()[0];
     obs::Timeline timeline(4'000);
-    timeline.setEnabled(true);
     const RunStats stats = runScenarioWithTimeline(scenario, timeline);
     const std::size_t epochs = timeline.epochCount();
     ASSERT_GT(epochs, 0u);

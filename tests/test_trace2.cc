@@ -227,11 +227,6 @@ TEST(Trc2Convert, SampledStream)
     EXPECT_EQ(file.header().representedAccesses, accesses);
     EXPECT_EQ(file.header().sampleInterval, interval);
 
-    TraceReplayWorkload replay(v2.path());
-    EXPECT_DOUBLE_EQ(replay.sampleScale(),
-                     static_cast<double>(accesses) /
-                         static_cast<double>(expected.size()));
-
     // Re-containering the sampled trace keeps the represented total.
     const TempTrace again("trc2_sampled_again.trc2");
     convertToV2(v2.path(), again.path(), Trc2Options{});

@@ -238,7 +238,6 @@ run(int argc, char **argv)
         run.measureAccesses = accesses;
 
     obs::TraceSink sink(capacity);
-    sink.setEnabled(true);
     // Default epoch length: 32 epochs over the measure phase (summed
     // across tenants in multi-core mode) — enough resolution for drift
     // curves without drowning the trace viewer.
@@ -246,7 +245,6 @@ run(int argc, char **argv)
         epochAccesses = std::max<std::uint64_t>(
             run.measureAccesses * mcTenants / 32, 1);
     obs::Timeline epochs(epochAccesses);
-    epochs.setEnabled(true);
 
     // One tenant's OS state + stream (multi-core mode; tenants must
     // outlive the simulator's run).
