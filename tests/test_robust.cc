@@ -576,6 +576,82 @@ TEST(Journal, CellResultRoundTrips)
     EXPECT_FALSE(exp::cellResultFromJson(junk, untouched));
 }
 
+/**
+ * The journal bytes of a cell whose every RunStats part holds distinct
+ * nonzero values, pinned by hash: resume reads journals written by
+ * earlier builds, so the encoding must not move.
+ */
+TEST(Journal, EveryRunStatsPartEncodesByteForByte)
+{
+    exp::CellResult r;
+    r.row = "r";
+    r.column = "every";
+    r.measured = true;
+    r.attempts = 2;
+    r.extra["vmas"] = 42.0;
+
+    RunStats &s = r.stats;
+    s.accesses = (1ull << 60) + 12345;
+    s.tlbL1Hits = (1ull << 54) + 1;
+    s.tlbL2Hits = (1ull << 55) + 3;
+    s.tlbMisses = (1ull << 56) + 5;
+    s.faults = (1ull << 53) + 7;
+    s.totalCycles = UINT64_MAX - 7;
+    s.walkCycles = (1ull << 57) + 11;
+    s.dataCycles = (1ull << 58) + 13;
+    s.computeCycles = (1ull << 59) + 17;
+
+    // (2^40)^2 overflows 64 bits: the second moment needs sqHi.
+    for (const std::uint64_t v : {7ull, (1ull << 40) + 3, 123'456'789ull})
+        s.walkLatency.sample(v);
+    for (unsigned level = 1; level <= 5; ++level) {
+        s.levelDist[level].restoreCount(MemLevel::Pwc, 100 * level + 1);
+        s.levelDist[level].restoreCount(MemLevel::L2, 100 * level + 2);
+        s.levelDist[level].restoreCount(MemLevel::Dram,
+                                        (1ull << 53) + level);
+        s.levelHist[level].sample(10 * level);
+        s.levelHist[level].sample(1'000 * level + 7);
+    }
+    for (const std::uint64_t v : {3ull, 190ull, 5'000ull, 1ull << 50})
+        s.walkHist.sample(v);
+    for (const std::uint64_t v : {1ull, 4ull, 44ull, 300ull, 300ull})
+        s.dataHist.sample(v);
+
+    s.appAsap = {(1ull << 54) + 21, 22, 23, 24};
+    s.hostAsap = {31, 32, 33, (1ull << 55) + 34};
+
+    OsDynStats &d = s.dyn;
+    d.events = 1;
+    d.mmaps = 2;
+    d.munmaps = 3;
+    d.minorFaults = 4;
+    d.madviseFrees = 5;
+    d.extends = 6;
+    d.churnReleases = 7;
+    d.dataPagesFreed = 8;
+    d.ptNodesFreed = 9;
+    d.churnFramesReleased = 10;
+    d.tlbInvalidated = 11;
+    d.pwcInvalidated = 12;
+    d.regionGrowthHoles = 13;
+    d.regionRelocations = 14;
+    d.regionsReleased = 15;
+    d.regionFramesReleased = (1ull << 53) + 16;
+
+    s.counters = {{"tlb.l1Hits", (1ull << 61) + 1},
+                  {"llc.misses", 77},
+                  {"dyn.events", 1}};
+
+    const std::string dump = exp::cellResultToJson(r).dump();
+    EXPECT_EQ(exp::fnv1a64(dump), 0x267b08701a76e475ull) << dump;
+
+    const auto doc = exp::Json::parse(dump);
+    ASSERT_TRUE(doc.has_value());
+    exp::CellResult back;
+    ASSERT_TRUE(exp::cellResultFromJson(*doc, back));
+    EXPECT_EQ(exp::cellResultToJson(back).dump(), dump);
+}
+
 TEST(Journal, ResumeReproducesArtifactsByteForByte)
 {
     FaultGuard guard;
