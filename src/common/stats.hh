@@ -210,13 +210,6 @@ class LevelDistribution
                                  static_cast<double>(total_);
     }
 
-    void
-    reset()
-    {
-        counts_.fill(0);
-        total_ = 0;
-    }
-
     /** Fold another distribution in (cross-cell aggregation). */
     void
     merge(const LevelDistribution &other)

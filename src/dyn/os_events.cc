@@ -45,13 +45,6 @@ OsDynStats::fields()
 }
 
 void
-OsDynStats::merge(const OsDynStats &other)
-{
-    for (const Field &f : fields())
-        this->*f.member += other.*f.member;
-}
-
-void
 OsDynStats::appendCounters(obs::Counters &counters) const
 {
     for (const Field &f : fields())

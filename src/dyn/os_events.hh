@@ -124,11 +124,17 @@ struct OsDynStats
         std::uint64_t OsDynStats::*member;
     };
     /** Every field in declaration order: the one table behind merge(),
-     *  appendCounters() and the journal's "dyn" object. */
+     *  appendCounters(), RunStats::diff() and the journal's "dyn"
+     *  object. */
     static const std::array<Field, 16> &fields();
 
     /** Add @p other field by field (every field is a sum). */
-    void merge(const OsDynStats &other);
+    void
+    merge(const OsDynStats &other)
+    {
+        for (const Field &f : fields())
+            this->*f.member += other.*f.member;
+    }
 
     /** Append every field as a `dyn.<field>` counter, in declaration
      *  order: the tail of a RunStats::counters list. */

@@ -51,16 +51,6 @@ parseU64(const std::string &s, std::uint64_t &out)
     return errno == 0 && end == s.c_str() + s.size();
 }
 
-/** Strict u64 parse of a Json string member; false on absence or
- *  malformed digits. */
-bool
-getU64(const Json &obj, const char *key, std::uint64_t &out)
-{
-    const Json *member = obj.find(key);
-    return member && member->type() == Json::Type::String &&
-           parseU64(member->asString(), out);
-}
-
 /** @p json as an integer in [0, @p max], for the journal's JSON-number
  *  fields; false for any other type or value (negative, fractional,
  *  NaN, too large). The journal is a file on disk, and casting an
@@ -79,8 +69,33 @@ getCount(const Json *json, std::uint64_t max, std::uint64_t &out)
     return true;
 }
 
+// The journal codec, one partToJson/partFromJson overload pair per
+// RunStats part type. A u64 is a decimal string.
+
 Json
-sampleStatToJson(const SampleStat &stat)
+partToJson(std::uint64_t value)
+{
+    return u64Str(value);
+}
+
+bool
+partFromJson(const Json &json, std::uint64_t &value)
+{
+    return json.type() == Json::Type::String &&
+           parseU64(json.asString(), value);
+}
+
+/** Strict u64 parse of a Json string member; false on absence or
+ *  malformed digits. */
+bool
+getU64(const Json &obj, const char *key, std::uint64_t &out)
+{
+    const Json *member = obj.find(key);
+    return member && partFromJson(*member, out);
+}
+
+Json
+partToJson(const SampleStat &stat)
 {
     Json out = Json::object();
     out.set("count", u64Str(stat.count()));
@@ -95,9 +110,9 @@ sampleStatToJson(const SampleStat &stat)
 }
 
 bool
-sampleStatFromJson(const Json &json, SampleStat &stat)
+partFromJson(const Json &json, SampleStat &stat)
 {
-    std::uint64_t count, sum, min, max;
+    std::uint64_t count = 0, sum = 0, min = 0, max = 0;
     if (!getU64(json, "count", count) || !getU64(json, "sum", sum) ||
         !getU64(json, "min", min) || !getU64(json, "max", max))
         return false;
@@ -112,7 +127,7 @@ sampleStatFromJson(const Json &json, SampleStat &stat)
 }
 
 Json
-histToJson(const obs::Histogram &hist)
+partToJson(const obs::Histogram &hist)
 {
     Json out = Json::object();
     out.set("count", u64Str(hist.count()));
@@ -127,9 +142,9 @@ histToJson(const obs::Histogram &hist)
 }
 
 bool
-histFromJson(const Json &json, obs::Histogram &hist)
+partFromJson(const Json &json, obs::Histogram &hist)
 {
-    std::uint64_t count, sum;
+    std::uint64_t count = 0, sum = 0;
     if (!getU64(json, "count", count) || !getU64(json, "sum", sum))
         return false;
     const Json *buckets = json.find("b");
@@ -137,10 +152,9 @@ histFromJson(const Json &json, obs::Histogram &hist)
         return false;
     hist.reset();
     for (const auto &[key, value] : buckets->members()) {
-        std::uint64_t index, n;
+        std::uint64_t index = 0, n = 0;
         if (!parseU64(key, index) || index >= obs::Histogram::numBuckets ||
-            value.type() != Json::Type::String ||
-            !parseU64(value.asString(), n))
+            !partFromJson(value, n))
             return false;
         hist.setBucketCount(index, n);
     }
@@ -149,7 +163,7 @@ histFromJson(const Json &json, obs::Histogram &hist)
 }
 
 Json
-levelDistToJson(const LevelDistribution &dist)
+partToJson(const LevelDistribution &dist)
 {
     Json counts = Json::array();
     for (std::size_t i = 0; i < numMemLevels; ++i)
@@ -158,82 +172,109 @@ levelDistToJson(const LevelDistribution &dist)
 }
 
 bool
-levelDistFromJson(const Json &json, LevelDistribution &dist)
+partFromJson(const Json &json, LevelDistribution &dist)
 {
     if (json.type() != Json::Type::Array ||
         json.items().size() != numMemLevels)
         return false;
-    dist.reset();
     for (std::size_t i = 0; i < numMemLevels; ++i) {
-        const Json &item = json.items()[i];
-        std::uint64_t n;
-        if (item.type() != Json::Type::String ||
-            !parseU64(item.asString(), n))
+        std::uint64_t n = 0;
+        if (!partFromJson(json.items()[i], n))
             return false;
         dist.restoreCount(static_cast<MemLevel>(i), n);
     }
     return true;
 }
 
+template <typename T, std::size_t N>
 Json
-asapStatsToJson(const AsapEngineStats &stats)
+partToJson(const std::array<T, N> &parts)
+{
+    Json out = Json::array();
+    for (const T &part : parts)
+        out.push(partToJson(part));
+    return out;
+}
+
+template <typename T, std::size_t N>
+bool
+partFromJson(const Json &json, std::array<T, N> &parts)
+{
+    if (json.type() != Json::Type::Array || json.items().size() != N)
+        return false;
+    for (std::size_t i = 0; i < N; ++i) {
+        if (!partFromJson(json.items()[i], parts[i]))
+            return false;
+    }
+    return true;
+}
+
+/** A field-table struct (AsapEngineStats, OsDynStats): an object of
+ *  decimal strings in table order. */
+template <typename T, typename = decltype(T::fields())>
+Json
+partToJson(const T &stats)
 {
     Json out = Json::object();
-    out.set("triggers", u64Str(stats.triggers));
-    out.set("rangeHits", u64Str(stats.rangeHits));
-    out.set("attempted", u64Str(stats.attempted));
-    out.set("issued", u64Str(stats.issued));
+    for (const typename T::Field &f : T::fields())
+        out.set(f.name, u64Str(stats.*f.member));
+    return out;
+}
+
+template <typename T, typename = decltype(T::fields())>
+bool
+partFromJson(const Json &json, T &stats)
+{
+    if (json.type() != Json::Type::Object)
+        return false;
+    for (const typename T::Field &f : T::fields()) {
+        if (!getU64(json, f.name, stats.*f.member))
+            return false;
+    }
+    return true;
+}
+
+/** Counters as an ordered list of [name, value] pairs. */
+Json
+partToJson(const obs::Counters &counters)
+{
+    Json out = Json::array();
+    for (const auto &[name, value] : counters) {
+        Json pair = Json::array();
+        pair.push(name);
+        pair.push(u64Str(value));
+        out.push(std::move(pair));
+    }
     return out;
 }
 
 bool
-asapStatsFromJson(const Json &json, AsapEngineStats &stats)
+partFromJson(const Json &json, obs::Counters &counters)
 {
-    return getU64(json, "triggers", stats.triggers) &&
-           getU64(json, "rangeHits", stats.rangeHits) &&
-           getU64(json, "attempted", stats.attempted) &&
-           getU64(json, "issued", stats.issued);
+    if (json.type() != Json::Type::Array)
+        return false;
+    counters.clear();
+    for (const Json &pair : json.items()) {
+        std::uint64_t value = 0;
+        if (pair.type() != Json::Type::Array ||
+            pair.items().size() != 2 ||
+            pair.items()[0].type() != Json::Type::String ||
+            !partFromJson(pair.items()[1], value))
+            return false;
+        counters.emplace_back(pair.items()[0].asString(), value);
+    }
+    return true;
 }
 
 Json
 runStatsToJson(const RunStats &stats)
 {
     Json out = Json::object();
-    out.set("accesses", u64Str(stats.accesses));
-    out.set("tlbL1Hits", u64Str(stats.tlbL1Hits));
-    out.set("tlbL2Hits", u64Str(stats.tlbL2Hits));
-    out.set("tlbMisses", u64Str(stats.tlbMisses));
-    out.set("faults", u64Str(stats.faults));
-    out.set("totalCycles", u64Str(stats.totalCycles));
-    out.set("walkCycles", u64Str(stats.walkCycles));
-    out.set("dataCycles", u64Str(stats.dataCycles));
-    out.set("computeCycles", u64Str(stats.computeCycles));
-    out.set("walkLatency", sampleStatToJson(stats.walkLatency));
-    Json levelDist = Json::array();
-    for (const LevelDistribution &dist : stats.levelDist)
-        levelDist.push(levelDistToJson(dist));
-    out.set("levelDist", std::move(levelDist));
-    out.set("walkHist", histToJson(stats.walkHist));
-    out.set("dataHist", histToJson(stats.dataHist));
-    Json levelHist = Json::array();
-    for (const obs::Histogram &hist : stats.levelHist)
-        levelHist.push(histToJson(hist));
-    out.set("levelHist", std::move(levelHist));
-    out.set("appAsap", asapStatsToJson(stats.appAsap));
-    out.set("hostAsap", asapStatsToJson(stats.hostAsap));
-    Json dyn = Json::object();
-    for (const OsDynStats::Field &f : OsDynStats::fields())
-        dyn.set(f.name, u64Str(stats.dyn.*f.member));
-    out.set("dyn", std::move(dyn));
-    Json counters = Json::array();
-    for (const auto &[name, value] : stats.counters) {
-        Json pair = Json::array();
-        pair.push(name);
-        pair.push(u64Str(value));
-        counters.push(std::move(pair));
-    }
-    out.set("counters", std::move(counters));
-    // profile: intentionally absent (nondeterministic; see file doc).
+    RunStats::forEachPart(stats, stats, [&out](const char *name,
+                                               const auto &part,
+                                               const auto &) {
+        out.set(name, partToJson(part));
+    });
     return out;
 }
 
@@ -242,70 +283,13 @@ runStatsFromJson(const Json &json, RunStats &stats)
 {
     if (json.type() != Json::Type::Object)
         return false;
-    if (!getU64(json, "accesses", stats.accesses) ||
-        !getU64(json, "tlbL1Hits", stats.tlbL1Hits) ||
-        !getU64(json, "tlbL2Hits", stats.tlbL2Hits) ||
-        !getU64(json, "tlbMisses", stats.tlbMisses) ||
-        !getU64(json, "faults", stats.faults) ||
-        !getU64(json, "totalCycles", stats.totalCycles) ||
-        !getU64(json, "walkCycles", stats.walkCycles) ||
-        !getU64(json, "dataCycles", stats.dataCycles) ||
-        !getU64(json, "computeCycles", stats.computeCycles))
-        return false;
-    const Json *walkLatency = json.find("walkLatency");
-    if (!walkLatency || !sampleStatFromJson(*walkLatency,
-                                            stats.walkLatency))
-        return false;
-    const Json *levelDist = json.find("levelDist");
-    if (!levelDist || levelDist->type() != Json::Type::Array ||
-        levelDist->items().size() != stats.levelDist.size())
-        return false;
-    for (std::size_t i = 0; i < stats.levelDist.size(); ++i) {
-        if (!levelDistFromJson(levelDist->items()[i],
-                               stats.levelDist[i]))
-            return false;
-    }
-    const Json *walkHist = json.find("walkHist");
-    const Json *dataHist = json.find("dataHist");
-    if (!walkHist || !histFromJson(*walkHist, stats.walkHist) ||
-        !dataHist || !histFromJson(*dataHist, stats.dataHist))
-        return false;
-    const Json *levelHist = json.find("levelHist");
-    if (!levelHist || levelHist->type() != Json::Type::Array ||
-        levelHist->items().size() != stats.levelHist.size())
-        return false;
-    for (std::size_t i = 0; i < stats.levelHist.size(); ++i) {
-        if (!histFromJson(levelHist->items()[i], stats.levelHist[i]))
-            return false;
-    }
-    const Json *appAsap = json.find("appAsap");
-    const Json *hostAsap = json.find("hostAsap");
-    if (!appAsap || !asapStatsFromJson(*appAsap, stats.appAsap) ||
-        !hostAsap || !asapStatsFromJson(*hostAsap, stats.hostAsap))
-        return false;
-    const Json *dyn = json.find("dyn");
-    if (!dyn || dyn->type() != Json::Type::Object)
-        return false;
-    for (const OsDynStats::Field &f : OsDynStats::fields()) {
-        if (!getU64(*dyn, f.name, stats.dyn.*f.member))
-            return false;
-    }
-    const Json *counters = json.find("counters");
-    if (!counters || counters->type() != Json::Type::Array)
-        return false;
-    stats.counters.clear();
-    for (const Json &pair : counters->items()) {
-        if (pair.type() != Json::Type::Array ||
-            pair.items().size() != 2 ||
-            pair.items()[0].type() != Json::Type::String ||
-            pair.items()[1].type() != Json::Type::String)
-            return false;
-        std::uint64_t value;
-        if (!parseU64(pair.items()[1].asString(), value))
-            return false;
-        stats.counters.emplace_back(pair.items()[0].asString(), value);
-    }
-    return true;
+    bool ok = true;
+    RunStats::forEachPart(stats, stats, [&](const char *name, auto &part,
+                                            auto &) {
+        const Json *member = json.find(name);
+        ok = ok && member && partFromJson(*member, part);
+    });
+    return ok;
 }
 
 bool

@@ -1,6 +1,7 @@
 #include "sim/simulator.hh"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "obs/timeline.hh"
@@ -15,39 +16,154 @@ namespace
 /** Addresses generated per Workload::nextBatch call. */
 constexpr std::size_t accessBatch = 1024;
 
+/** Constant-initialized, so it has no exit-time destructor to race a
+ *  sweep worker that is still running when the process exits. */
+constexpr std::array<AsapEngineStats::Field, 4> asapFields = {{
+    {"triggers", &AsapEngineStats::triggers},
+    {"rangeHits", &AsapEngineStats::rangeHits},
+    {"attempted", &AsapEngineStats::attempted},
+    {"issued", &AsapEngineStats::issued},
+}};
+static_assert(sizeof(AsapEngineStats) ==
+                  asapFields.size() * sizeof(std::uint64_t),
+              "every AsapEngineStats field needs an asapFields entry");
+
+/** RunStats::merge of one part, whatever its type. */
+template <typename T>
+void
+mergePart(T &into, const T &from)
+{
+    if constexpr (std::is_same_v<T, std::uint64_t>)
+        into += from;
+    else if constexpr (std::is_same_v<T, obs::Counters>)
+        obs::addCounters(into, from);
+    else
+        into.merge(from);
+}
+
+template <typename T, std::size_t N>
+void
+mergePart(std::array<T, N> &into, const std::array<T, N> &from)
+{
+    for (std::size_t i = 0; i < N; ++i)
+        into[i].merge(from[i]);
+}
+
+// RunStats::diff of one part: a line per differing field, named as
+// the journal names it.
+
+using DiffLines = std::vector<std::string>;
+
+void
+diffPart(DiffLines &out, const std::string &name, std::uint64_t a,
+         std::uint64_t b)
+{
+    if (a != b)
+        out.push_back(strprintf("%s: %llu vs %llu", name.c_str(),
+                                static_cast<unsigned long long>(a),
+                                static_cast<unsigned long long>(b)));
+}
+
+void
+diffPart(DiffLines &out, const std::string &name, const SampleStat &a,
+         const SampleStat &b)
+{
+    diffPart(out, name + ".count", a.count(), b.count());
+    diffPart(out, name + ".sum", a.sum(), b.sum());
+    diffPart(out, name + ".min", a.min(), b.min());
+    diffPart(out, name + ".max", a.max(), b.max());
+    diffPart(out, name + ".sqHi", a.sumSquaresHi(), b.sumSquaresHi());
+    diffPart(out, name + ".sqLo", a.sumSquaresLo(), b.sumSquaresLo());
+}
+
+void
+diffPart(DiffLines &out, const std::string &name,
+         const LevelDistribution &a, const LevelDistribution &b)
+{
+    for (std::size_t i = 0; i < numMemLevels; ++i) {
+        const auto level = static_cast<MemLevel>(i);
+        diffPart(out, name + "." + memLevelName(level), a.count(level),
+                 b.count(level));
+    }
+}
+
+void
+diffPart(DiffLines &out, const std::string &name, const obs::Histogram &a,
+         const obs::Histogram &b)
+{
+    diffPart(out, name + ".count", a.count(), b.count());
+    diffPart(out, name + ".sum", a.sum(), b.sum());
+    for (std::size_t i = 0; i < obs::Histogram::numBuckets; ++i) {
+        if (a.bucketCount(i) != b.bucketCount(i))
+            diffPart(out, strprintf("%s.b[%zu]", name.c_str(), i),
+                     a.bucketCount(i), b.bucketCount(i));
+    }
+}
+
+/** Counters compare by position: one line per position whose name or
+ *  value differs, or that only one list has. */
+void
+diffPart(DiffLines &out, const std::string &name, const obs::Counters &a,
+         const obs::Counters &b)
+{
+    const auto entry = [](const obs::Counters &c, std::size_t i) {
+        return i < c.size() ? strprintf("%s=%llu", c[i].first.c_str(),
+                                        static_cast<unsigned long long>(
+                                            c[i].second))
+                            : std::string("absent");
+    };
+    for (std::size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+        if (i >= a.size() || i >= b.size() || a[i] != b[i])
+            out.push_back(strprintf("%s[%zu]: %s vs %s", name.c_str(), i,
+                                    entry(a, i).c_str(),
+                                    entry(b, i).c_str()));
+    }
+}
+
+/** A field-table struct: AsapEngineStats or OsDynStats. */
+template <typename T, typename = decltype(T::fields())>
+void
+diffPart(DiffLines &out, const std::string &name, const T &a, const T &b)
+{
+    for (const typename T::Field &f : T::fields())
+        diffPart(out, name + "." + f.name, a.*f.member, b.*f.member);
+}
+
+template <typename T, std::size_t N>
+void
+diffPart(DiffLines &out, const std::string &name, const std::array<T, N> &a,
+         const std::array<T, N> &b)
+{
+    for (std::size_t i = 0; i < N; ++i)
+        diffPart(out, strprintf("%s[%zu]", name.c_str(), i), a[i], b[i]);
+}
+
 } // namespace
+
+const std::array<AsapEngineStats::Field, 4> &
+AsapEngineStats::fields()
+{
+    return asapFields;
+}
 
 void
 RunStats::merge(const RunStats &other)
 {
-    accesses += other.accesses;
-    tlbL1Hits += other.tlbL1Hits;
-    tlbL2Hits += other.tlbL2Hits;
-    tlbMisses += other.tlbMisses;
-    faults += other.faults;
+    forEachPart(*this, other, [](const char *, auto &into,
+                                 const auto &from) {
+        mergePart(into, from);
+    });
+}
 
-    walkLatency.merge(other.walkLatency);
-    for (std::size_t i = 0; i < levelDist.size(); ++i)
-        levelDist[i].merge(other.levelDist[i]);
-    walkHist.merge(other.walkHist);
-    dataHist.merge(other.dataHist);
-    for (std::size_t i = 0; i < levelHist.size(); ++i)
-        levelHist[i].merge(other.levelHist[i]);
-
-    totalCycles += other.totalCycles;
-    walkCycles += other.walkCycles;
-    dataCycles += other.dataCycles;
-    computeCycles += other.computeCycles;
-
-    appAsap.merge(other.appAsap);
-    hostAsap.merge(other.hostAsap);
-
-    // Nonzero whenever a merged run churned (mc's per-tenant
-    // aggregate sums churning tenants).
-    dyn.merge(other.dyn);
-
-    obs::addCounters(counters, other.counters);
-    // profile: deliberately untouched (see the declaration).
+std::vector<std::string>
+RunStats::diff(const RunStats &other) const
+{
+    DiffLines lines;
+    forEachPart(*this, other, [&lines](const char *name, const auto &a,
+                                       const auto &b) {
+        diffPart(lines, name, a, b);
+    });
+    return lines;
 }
 
 AccessStream::AccessStream(System &system, Workload &workload,

@@ -70,6 +70,15 @@ struct AsapEngineStats
     std::uint64_t attempted = 0;   ///< per-level prefetches attempted
     std::uint64_t issued = 0;      ///< accepted by the hierarchy
 
+    struct Field
+    {
+        const char *name;
+        std::uint64_t AsapEngineStats::*member;
+    };
+    /** Every field in declaration order: the one table behind merge(),
+     *  RunStats::diff() and the journal's engine objects. */
+    static const std::array<Field, 4> &fields();
+
     /** The lifetime counters of @p engine (all zero for nullptr, i.e.
      *  ASAP off in that dimension). */
     static AsapEngineStats
@@ -85,14 +94,12 @@ struct AsapEngineStats
         return s;
     }
 
-    /** Fold another engine's counters in. */
+    /** Add @p other field by field (every field is a sum). */
     void
     merge(const AsapEngineStats &other)
     {
-        triggers += other.triggers;
-        rangeHits += other.rangeHits;
-        attempted += other.attempted;
-        issued += other.issued;
+        for (const Field &f : fields())
+            this->*f.member += other.*f.member;
     }
 };
 
@@ -175,6 +182,37 @@ struct RunStats
     }
 
     /**
+     * Call @p f(name, a.part, b.part) for every part of the RunStats
+     * @p a and @p b, in the journal's key order: the one list that
+     * merge(), diff() (two runs) and the journal codec (one run passed
+     * twice) walk. profile is not a part: it is wall-clock, never
+     * journaled and never compared.
+     */
+    template <typename A, typename B, typename F>
+    static void
+    forEachPart(A &a, B &b, F &&f)
+    {
+        f("accesses", a.accesses, b.accesses);
+        f("tlbL1Hits", a.tlbL1Hits, b.tlbL1Hits);
+        f("tlbL2Hits", a.tlbL2Hits, b.tlbL2Hits);
+        f("tlbMisses", a.tlbMisses, b.tlbMisses);
+        f("faults", a.faults, b.faults);
+        f("totalCycles", a.totalCycles, b.totalCycles);
+        f("walkCycles", a.walkCycles, b.walkCycles);
+        f("dataCycles", a.dataCycles, b.dataCycles);
+        f("computeCycles", a.computeCycles, b.computeCycles);
+        f("walkLatency", a.walkLatency, b.walkLatency);
+        f("levelDist", a.levelDist, b.levelDist);
+        f("walkHist", a.walkHist, b.walkHist);
+        f("dataHist", a.dataHist, b.dataHist);
+        f("levelHist", a.levelHist, b.levelHist);
+        f("appAsap", a.appAsap, b.appAsap);
+        f("hostAsap", a.hostAsap, b.hostAsap);
+        f("dyn", a.dyn, b.dyn);
+        f("counters", a.counters, b.counters);
+    }
+
+    /**
      * Fold another run's statistics in. Every aggregate here is a sum of
      * per-access contributions, so merging is exact and associative:
      * counts/cycles add, SampleStat/LevelDistribution/obs::Histogram
@@ -186,6 +224,10 @@ struct RunStats
      * simbench's tenant_churn check, which re-merges the tenants.
      */
     void merge(const RunStats &other);
+
+    /** One line per field that differs from @p other, naming it and
+     *  both values ("walkHist.b[17]: 3 vs 4"); empty when bit-identical. */
+    std::vector<std::string> diff(const RunStats &other) const;
 };
 
 /**

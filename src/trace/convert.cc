@@ -475,38 +475,8 @@ replayStatsMatch(const std::string &pathA, const std::string &pathB,
     }
 
     report.clear();
-    const auto check = [&report](const char *field, std::uint64_t a,
-                                 std::uint64_t b) {
-        if (a != b)
-            report += strprintf("  %-14s %lu vs %lu\n", field,
-                                static_cast<unsigned long>(a),
-                                static_cast<unsigned long>(b));
-    };
-    check("accesses", stats[0].accesses, stats[1].accesses);
-    check("tlbL1Hits", stats[0].tlbL1Hits, stats[1].tlbL1Hits);
-    check("tlbL2Hits", stats[0].tlbL2Hits, stats[1].tlbL2Hits);
-    check("tlbMisses", stats[0].tlbMisses, stats[1].tlbMisses);
-    check("faults", stats[0].faults, stats[1].faults);
-    check("walkCount", stats[0].walkLatency.count(),
-          stats[1].walkLatency.count());
-    check("walkSum", stats[0].walkLatency.sum(),
-          stats[1].walkLatency.sum());
-    check("walkMin", stats[0].walkLatency.min(),
-          stats[1].walkLatency.min());
-    check("walkMax", stats[0].walkLatency.max(),
-          stats[1].walkLatency.max());
-    check("totalCycles", stats[0].totalCycles, stats[1].totalCycles);
-    check("walkCycles", stats[0].walkCycles, stats[1].walkCycles);
-    check("dataCycles", stats[0].dataCycles, stats[1].dataCycles);
-    check("computeCycles", stats[0].computeCycles,
-          stats[1].computeCycles);
-    for (unsigned level = 1; level <= 5; ++level)
-        check(strprintf("level%u", level).c_str(),
-              stats[0].levelDist[level].total(),
-              stats[1].levelDist[level].total());
-    check("appIssued", stats[0].appAsap.issued, stats[1].appAsap.issued);
-    check("hostIssued", stats[0].hostAsap.issued,
-          stats[1].hostAsap.issued);
+    for (const std::string &line : stats[0].diff(stats[1]))
+        report += "  " + line + "\n";
     return report.empty();
 }
 

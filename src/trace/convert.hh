@@ -119,10 +119,10 @@ std::string traceAccessStatsJson(const TraceFile &trace);
 
 /**
  * Replay both traces on a fresh native System with the paper-default
- * machine and compare RunStats field by field. @p report receives a
- * one-line-per-field account of any mismatch. Only meaningful when
- * both files carry the same full stream (a sampled trace legitimately
- * diverges from its source).
+ * machine and compare every RunStats part (RunStats::diff). @p report
+ * receives the diff, one indented line per differing field. Only
+ * meaningful when both files carry the same full stream (a sampled
+ * trace legitimately diverges from its source).
  */
 bool replayStatsMatch(const std::string &pathA, const std::string &pathB,
                       std::uint64_t warmupAccesses,

@@ -24,6 +24,12 @@
 #include <string>
 #include <vector>
 
+// examples/golden_dump prints the literals without linking gtest.
+#if __has_include(<gtest/gtest.h>)
+#include <gtest/gtest.h>
+#define ASAP_GOLDEN_HAVE_GTEST 1
+#endif
+
 #include "sim/environment.hh"
 #include "sim/machine.hh"
 #include "sim/simulator.hh"
@@ -214,6 +220,46 @@ flatten(const RunStats &stats)
     e.hostIssued = stats.hostAsap.issued;
     return e;
 }
+
+#ifdef ASAP_GOLDEN_HAVE_GTEST
+/** Every field of a golden digest against a pinned literal. */
+inline void
+expectSameDigest(const Expect &got, const Expect &want)
+{
+    EXPECT_EQ(got.tlbL1Hits, want.tlbL1Hits);
+    EXPECT_EQ(got.tlbL2Hits, want.tlbL2Hits);
+    EXPECT_EQ(got.tlbMisses, want.tlbMisses);
+    EXPECT_EQ(got.faults, want.faults);
+    EXPECT_EQ(got.walkCount, want.walkCount);
+    EXPECT_EQ(got.walkSum, want.walkSum);
+    EXPECT_EQ(got.walkMin, want.walkMin);
+    EXPECT_EQ(got.walkMax, want.walkMax);
+    EXPECT_EQ(got.totalCycles, want.totalCycles);
+    EXPECT_EQ(got.walkCycles, want.walkCycles);
+    EXPECT_EQ(got.dataCycles, want.dataCycles);
+    EXPECT_EQ(got.computeCycles, want.computeCycles);
+    EXPECT_EQ(got.levelTotal, want.levelTotal);
+    EXPECT_EQ(got.levelPwc, want.levelPwc);
+    EXPECT_EQ(got.levelDram, want.levelDram);
+    EXPECT_EQ(got.appTriggers, want.appTriggers);
+    EXPECT_EQ(got.appRangeHits, want.appRangeHits);
+    EXPECT_EQ(got.appAttempted, want.appAttempted);
+    EXPECT_EQ(got.appIssued, want.appIssued);
+    EXPECT_EQ(got.hostIssued, want.hostIssued);
+}
+
+/** Two runs bit-identical in every RunStats part; a failure prints
+ *  RunStats::diff, one line per differing field. */
+inline void
+expectSameStats(const RunStats &a, const RunStats &b,
+                const std::string &what)
+{
+    std::string report;
+    for (const std::string &line : a.diff(b))
+        report += "\n  " + line;
+    EXPECT_TRUE(report.empty()) << what << report;
+}
+#endif
 
 /** RunStats::dyn, field by field in declaration order. */
 inline std::array<std::uint64_t, 16>

@@ -60,23 +60,6 @@ tinyRun()
     return run;
 }
 
-bool
-sameStats(const golden::Expect &a, const golden::Expect &b)
-{
-    return a.tlbL1Hits == b.tlbL1Hits && a.tlbL2Hits == b.tlbL2Hits &&
-           a.tlbMisses == b.tlbMisses && a.faults == b.faults &&
-           a.walkCount == b.walkCount && a.walkSum == b.walkSum &&
-           a.walkMin == b.walkMin && a.walkMax == b.walkMax &&
-           a.totalCycles == b.totalCycles &&
-           a.walkCycles == b.walkCycles && a.dataCycles == b.dataCycles &&
-           a.computeCycles == b.computeCycles &&
-           a.levelTotal == b.levelTotal && a.levelPwc == b.levelPwc &&
-           a.levelDram == b.levelDram && a.appTriggers == b.appTriggers &&
-           a.appRangeHits == b.appRangeHits &&
-           a.appAttempted == b.appAttempted &&
-           a.appIssued == b.appIssued && a.hostIssued == b.hostIssued;
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -455,8 +438,7 @@ TEST(ZeroEvents, GoldenScenariosBitIdentical)
     // pins the batch-capping logic too).
     for (const golden::Scenario &scenario : golden::goldenScenarios()) {
         SCOPED_TRACE(scenario.name);
-        const golden::Expect plain =
-            golden::flatten(golden::runScenario(scenario));
+        const RunStats plain = golden::runScenario(scenario);
 
         const WorkloadSpec spec = withDynamics(
             golden::goldenSpec(), "server", 1.0,
@@ -470,7 +452,7 @@ TEST(ZeroEvents, GoldenScenariosBitIdentical)
         const RunStats stats =
             simulator.run(golden::goldenRunConfig(scenario.colocation));
         EXPECT_EQ(stats.dyn.events, 0u);
-        EXPECT_TRUE(sameStats(plain, golden::flatten(stats)));
+        golden::expectSameStats(plain, stats, "idle events");
     }
 }
 
@@ -518,10 +500,7 @@ TEST(ChurnRun, TenantsProfileExercisesLifecycle)
     Machine machine2(system2, makeMachineConfig(AsapConfig::p1p2()));
     Simulator simulator2(system2, machine2, *workload2);
     const RunStats again = simulator2.run(tinyRun());
-    EXPECT_TRUE(sameStats(golden::flatten(stats),
-                          golden::flatten(again)));
-    EXPECT_EQ(stats.dyn.tlbInvalidated, again.dyn.tlbInvalidated);
-    EXPECT_EQ(stats.dyn.dataPagesFreed, again.dyn.dataPagesFreed);
+    golden::expectSameStats(stats, again, "second run");
 }
 
 TEST(ChurnRun, VirtualizedTenantsRun)
@@ -565,10 +544,7 @@ TEST(ChurnRun, SweepPrivatizesDynamicEnvironments)
     const exp::ResultSet results = exp::SweepRunner(2).run(sweep);
     const RunStats &a = results.stats("r", "first");
     const RunStats &b = results.stats("r", "second");
-    EXPECT_TRUE(sameStats(golden::flatten(a), golden::flatten(b)));
-    EXPECT_EQ(a.faults, b.faults);
-    EXPECT_EQ(a.dyn.dataPagesFreed, b.dyn.dataPagesFreed);
-    EXPECT_EQ(a.dyn.tlbInvalidated, b.dyn.tlbInvalidated);
+    golden::expectSameStats(a, b, "first vs second");
 }
 
 // ---------------------------------------------------------------------------
@@ -612,13 +588,7 @@ TEST(DynTrace, RecordReplayBitIdentical)
         Simulator simulator(system, machine, replay);
         replayed = simulator.run(run);
     }
-    EXPECT_TRUE(sameStats(golden::flatten(live),
-                          golden::flatten(replayed)));
-    EXPECT_EQ(live.dyn.events, replayed.dyn.events);
-    EXPECT_EQ(live.dyn.munmaps, replayed.dyn.munmaps);
-    EXPECT_EQ(live.dyn.dataPagesFreed, replayed.dyn.dataPagesFreed);
-    EXPECT_EQ(live.dyn.tlbInvalidated, replayed.dyn.tlbInvalidated);
-    EXPECT_EQ(live.dyn.pwcInvalidated, replayed.dyn.pwcInvalidated);
+    golden::expectSameStats(live, replayed, "replay vs live");
 
     // Re-containering (rechunk + compress) preserves the event stream
     // and hence the replayed RunStats, bit for bit.
@@ -636,9 +606,7 @@ TEST(DynTrace, RecordReplayBitIdentical)
         Simulator simulator(system, machine, replay);
         reconverted = simulator.run(run);
     }
-    EXPECT_TRUE(sameStats(golden::flatten(live),
-                          golden::flatten(reconverted)));
-    EXPECT_EQ(live.dyn.events, reconverted.dyn.events);
+    golden::expectSameStats(live, reconverted, "rechunked vs live");
 
     std::remove(path.c_str());
     std::remove(rechunked.c_str());

@@ -12,6 +12,7 @@
 #include <optional>
 #include <string>
 
+#include "golden_scenarios.hh"
 #include "core/asap_engine.hh"
 #include "exp/json.hh"
 #include "exp/result_table.hh"
@@ -40,26 +41,6 @@ tinyRun(bool colocation = false)
     run.warmupAccesses = 2'000;
     run.measureAccesses = 10'000;
     return run;
-}
-
-/** Field-by-field exact equality of the integer statistics. */
-void
-expectIdenticalStats(const RunStats &a, const RunStats &b)
-{
-    EXPECT_EQ(a.accesses, b.accesses);
-    EXPECT_EQ(a.tlbL1Hits, b.tlbL1Hits);
-    EXPECT_EQ(a.tlbL2Hits, b.tlbL2Hits);
-    EXPECT_EQ(a.tlbMisses, b.tlbMisses);
-    EXPECT_EQ(a.faults, b.faults);
-    EXPECT_EQ(a.walkLatency.count(), b.walkLatency.count());
-    EXPECT_EQ(a.walkLatency.sum(), b.walkLatency.sum());
-    EXPECT_EQ(a.walkLatency.min(), b.walkLatency.min());
-    EXPECT_EQ(a.walkLatency.max(), b.walkLatency.max());
-    EXPECT_EQ(a.totalCycles, b.totalCycles);
-    EXPECT_EQ(a.walkCycles, b.walkCycles);
-    EXPECT_EQ(a.dataCycles, b.dataCycles);
-    EXPECT_EQ(a.computeCycles, b.computeCycles);
-    EXPECT_EQ(a.appAsap.issued, b.appAsap.issued);
 }
 
 } // namespace
@@ -251,7 +232,7 @@ TEST(Sweep, ThreadCountInvariance)
         EXPECT_EQ(a.row, b.row);
         EXPECT_EQ(a.column, b.column);
         EXPECT_EQ(a.measured, b.measured);
-        expectIdenticalStats(a.stats, b.stats);
+        golden::expectSameStats(a.stats, b.stats, a.row + "/" + a.column);
         EXPECT_EQ(a.extra, b.extra);
     }
     // And the emitted artifacts agree byte-for-byte.
@@ -310,8 +291,8 @@ TEST(Sweep, BaseSeedDecorrelatesIdenticalCells)
     plain.add(spec, native, makeMachineConfig(), tinyRun(), "a", "x");
     plain.add(spec, native, makeMachineConfig(), tinyRun(), "b", "x");
     const ResultSet plainResults = SweepRunner(1).run(plain);
-    expectIdenticalStats(plainResults.stats("a", "x"),
-                         plainResults.stats("b", "x"));
+    golden::expectSameStats(plainResults.stats("a", "x"),
+                            plainResults.stats("b", "x"), "unseeded");
 }
 
 TEST(Sweep, ProbeCellsExposeEnvironmentState)

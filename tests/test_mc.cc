@@ -45,65 +45,6 @@ makeTenant(const WorkloadSpec &spec, const EnvironmentOptions &env)
     return tenant;
 }
 
-void
-expectFlattenEqual(const golden::Expect &a, const golden::Expect &b)
-{
-    EXPECT_EQ(a.tlbL1Hits, b.tlbL1Hits);
-    EXPECT_EQ(a.tlbL2Hits, b.tlbL2Hits);
-    EXPECT_EQ(a.tlbMisses, b.tlbMisses);
-    EXPECT_EQ(a.faults, b.faults);
-    EXPECT_EQ(a.walkCount, b.walkCount);
-    EXPECT_EQ(a.walkSum, b.walkSum);
-    EXPECT_EQ(a.walkMin, b.walkMin);
-    EXPECT_EQ(a.walkMax, b.walkMax);
-    EXPECT_EQ(a.totalCycles, b.totalCycles);
-    EXPECT_EQ(a.walkCycles, b.walkCycles);
-    EXPECT_EQ(a.dataCycles, b.dataCycles);
-    EXPECT_EQ(a.computeCycles, b.computeCycles);
-    for (unsigned i = 0; i < 5; ++i) {
-        EXPECT_EQ(a.levelTotal[i], b.levelTotal[i]);
-        EXPECT_EQ(a.levelPwc[i], b.levelPwc[i]);
-        EXPECT_EQ(a.levelDram[i], b.levelDram[i]);
-    }
-    EXPECT_EQ(a.appTriggers, b.appTriggers);
-    EXPECT_EQ(a.appRangeHits, b.appRangeHits);
-    EXPECT_EQ(a.appAttempted, b.appAttempted);
-    EXPECT_EQ(a.appIssued, b.appIssued);
-    EXPECT_EQ(a.hostIssued, b.hostIssued);
-}
-
-void
-expectCountersEqual(const RunStats &a, const RunStats &b)
-{
-    ASSERT_EQ(a.counters.size(), b.counters.size());
-    for (std::size_t i = 0; i < a.counters.size(); ++i) {
-        EXPECT_EQ(a.counters[i].first, b.counters[i].first);
-        EXPECT_EQ(a.counters[i].second, b.counters[i].second)
-            << a.counters[i].first;
-    }
-}
-
-void
-expectDynEqual(const OsDynStats &a, const OsDynStats &b)
-{
-    EXPECT_EQ(a.events, b.events);
-    EXPECT_EQ(a.mmaps, b.mmaps);
-    EXPECT_EQ(a.munmaps, b.munmaps);
-    EXPECT_EQ(a.minorFaults, b.minorFaults);
-    EXPECT_EQ(a.madviseFrees, b.madviseFrees);
-    EXPECT_EQ(a.extends, b.extends);
-    EXPECT_EQ(a.churnReleases, b.churnReleases);
-    EXPECT_EQ(a.dataPagesFreed, b.dataPagesFreed);
-    EXPECT_EQ(a.ptNodesFreed, b.ptNodesFreed);
-    EXPECT_EQ(a.churnFramesReleased, b.churnFramesReleased);
-    EXPECT_EQ(a.tlbInvalidated, b.tlbInvalidated);
-    EXPECT_EQ(a.pwcInvalidated, b.pwcInvalidated);
-    EXPECT_EQ(a.regionGrowthHoles, b.regionGrowthHoles);
-    EXPECT_EQ(a.regionRelocations, b.regionRelocations);
-    EXPECT_EQ(a.regionsReleased, b.regionsReleased);
-    EXPECT_EQ(a.regionFramesReleased, b.regionFramesReleased);
-}
-
 /** Run a golden scenario through the mc model, 1 core / 1 tenant. */
 mc::McResult
 runScenarioMc(const golden::Scenario &scenario, std::uint64_t quantum)
@@ -131,21 +72,15 @@ TEST(McSerialIdentity, GoldenScenariosBitIdentical)
         const mc::McResult result = runScenarioMc(scenario, 8192);
         const RunStats &agg = result.aggregate;
 
-        expectFlattenEqual(golden::flatten(serial),
-                           golden::flatten(agg));
-        EXPECT_EQ(serial.accesses, agg.accesses);
-        expectCountersEqual(serial, agg);
-        expectDynEqual(serial.dyn, agg.dyn);
-        EXPECT_EQ(serial.walkHist.p50(), agg.walkHist.p50());
-        EXPECT_EQ(serial.walkHist.p99(), agg.walkHist.p99());
-        EXPECT_EQ(serial.walkHist.p999(), agg.walkHist.p999());
-        EXPECT_EQ(serial.dataHist.p50(), agg.dataHist.p50());
-        EXPECT_EQ(serial.dataHist.p99(), agg.dataHist.p99());
+        golden::expectSameStats(serial, agg, "aggregate");
 
-        // The per-tenant view of a 1-tenant run is the aggregate.
+        // The per-tenant view of a 1-tenant run is the aggregate, but
+        // for its counters: a tenant's list leaves out the core-shared
+        // caches and TLBs and adds its mc.* IPI attribution.
         ASSERT_EQ(result.tenants.size(), 1u);
-        expectFlattenEqual(golden::flatten(serial),
-                           golden::flatten(result.tenants[0]));
+        RunStats tenant = result.tenants[0];
+        tenant.counters = serial.counters;
+        golden::expectSameStats(serial, tenant, "tenant 0");
     }
 }
 
@@ -157,9 +92,7 @@ TEST(McSerialIdentity, QuantumSizeIsStatsNeutral)
     const golden::Scenario native = golden::goldenScenarios().front();
     const RunStats serial = golden::runScenario(native);
     const mc::McResult odd = runScenarioMc(native, 123);
-    expectFlattenEqual(golden::flatten(serial),
-                       golden::flatten(odd.aggregate));
-    expectCountersEqual(serial, odd.aggregate);
+    golden::expectSameStats(serial, odd.aggregate, "quantum 123");
 }
 
 TEST(McSerialIdentity, DynamicRunBitIdentical)
@@ -183,10 +116,7 @@ TEST(McSerialIdentity, DynamicRunBitIdentical)
     sim.addTenant(*mcTenant.system, *mcTenant.workload);
     const mc::McResult result = sim.run(run);
 
-    expectFlattenEqual(golden::flatten(serial),
-                       golden::flatten(result.aggregate));
-    expectDynEqual(serial.dyn, result.aggregate.dyn);
-    expectCountersEqual(serial, result.aggregate);
+    golden::expectSameStats(serial, result.aggregate, "aggregate");
 }
 
 // ---------------------------------------------------------------------------
@@ -227,13 +157,13 @@ TEST(McScheduler, DeterministicAcrossRepeatedRuns)
     const mc::McResult a = runMulti(2, 3, true, spec, run);
     const mc::McResult b = runMulti(2, 3, true, spec, run);
 
-    expectCountersEqual(a.aggregate, b.aggregate);
+    golden::expectSameStats(a.aggregate, b.aggregate, "aggregate");
     EXPECT_EQ(a.slots, b.slots);
     EXPECT_EQ(a.maxCoreCycle, b.maxCoreCycle);
     ASSERT_EQ(a.tenants.size(), b.tenants.size());
     for (std::size_t t = 0; t < a.tenants.size(); ++t) {
-        expectFlattenEqual(golden::flatten(a.tenants[t]),
-                           golden::flatten(b.tenants[t]));
+        golden::expectSameStats(a.tenants[t], b.tenants[t],
+                                strprintf("tenant %zu", t));
         EXPECT_EQ(a.tenantMc[t].shootdowns, b.tenantMc[t].shootdowns);
         EXPECT_EQ(a.tenantMc[t].ipisSent, b.tenantMc[t].ipisSent);
         EXPECT_EQ(a.tenantMc[t].ipiSendWaitCycles,
@@ -400,29 +330,17 @@ TEST(McStats, TenantStatsSumToAggregate)
     for (const RunStats &tenant : result.tenants)
         merged.merge(tenant);
 
-    const RunStats &agg = result.aggregate;
-    EXPECT_EQ(merged.accesses, agg.accesses);
-    EXPECT_EQ(merged.tlbL1Hits, agg.tlbL1Hits);
-    EXPECT_EQ(merged.tlbL2Hits, agg.tlbL2Hits);
-    EXPECT_EQ(merged.tlbMisses, agg.tlbMisses);
-    EXPECT_EQ(merged.faults, agg.faults);
-    EXPECT_EQ(merged.walkLatency.count(), agg.walkLatency.count());
-    EXPECT_EQ(merged.walkLatency.sum(), agg.walkLatency.sum());
-    EXPECT_EQ(merged.totalCycles, agg.totalCycles);
-    EXPECT_EQ(merged.walkCycles, agg.walkCycles);
-    EXPECT_EQ(merged.dataCycles, agg.dataCycles);
-    EXPECT_EQ(merged.computeCycles, agg.computeCycles);
-    EXPECT_EQ(merged.walkHist.p50(), agg.walkHist.p50());
-    EXPECT_EQ(merged.walkHist.p99(), agg.walkHist.p99());
-    EXPECT_EQ(merged.dataHist.p99(), agg.dataHist.p99());
-    expectDynEqual(merged.dyn, agg.dyn);
-    EXPECT_EQ(merged.appAsap.triggers, agg.appAsap.triggers);
-    EXPECT_EQ(merged.appAsap.issued, agg.appAsap.issued);
+    // The aggregate's counter list is assembled per structure (each
+    // shared LLC and core once, plus mc.* telemetry), not merged from
+    // the tenants' lists, so it is checked below on its own.
+    RunStats agg = result.aggregate;
+    agg.counters = merged.counters;
+    golden::expectSameStats(merged, agg, "merged tenants");
 
     // The assembled aggregate counter list carries the mc.* telemetry
     // (multi-tenant shape) and its dyn slice equals the merged one.
     bool sawIpis = false;
-    for (const auto &[name, value] : agg.counters) {
+    for (const auto &[name, value] : result.aggregate.counters) {
         if (name == "mc.ipisSent") {
             sawIpis = true;
             std::uint64_t sum = 0;

@@ -248,35 +248,6 @@ runScenarioWithSink(const golden::Scenario &scenario,
     return simulator.run(golden::goldenRunConfig(scenario.colocation));
 }
 
-void
-expectEqual(const golden::Expect &a, const golden::Expect &b,
-            const std::string &what)
-{
-    EXPECT_EQ(a.tlbL1Hits, b.tlbL1Hits) << what;
-    EXPECT_EQ(a.tlbL2Hits, b.tlbL2Hits) << what;
-    EXPECT_EQ(a.tlbMisses, b.tlbMisses) << what;
-    EXPECT_EQ(a.faults, b.faults) << what;
-    EXPECT_EQ(a.walkCount, b.walkCount) << what;
-    EXPECT_EQ(a.walkSum, b.walkSum) << what;
-    EXPECT_EQ(a.walkMin, b.walkMin) << what;
-    EXPECT_EQ(a.walkMax, b.walkMax) << what;
-    EXPECT_EQ(a.totalCycles, b.totalCycles) << what;
-    EXPECT_EQ(a.walkCycles, b.walkCycles) << what;
-    EXPECT_EQ(a.dataCycles, b.dataCycles) << what;
-    EXPECT_EQ(a.computeCycles, b.computeCycles) << what;
-    for (unsigned i = 0; i < 5; ++i) {
-        EXPECT_EQ(a.levelTotal[i], b.levelTotal[i]) << what << " PL"
-                                                    << i + 1;
-        EXPECT_EQ(a.levelPwc[i], b.levelPwc[i]) << what;
-        EXPECT_EQ(a.levelDram[i], b.levelDram[i]) << what;
-    }
-    EXPECT_EQ(a.appTriggers, b.appTriggers) << what;
-    EXPECT_EQ(a.appRangeHits, b.appRangeHits) << what;
-    EXPECT_EQ(a.appAttempted, b.appAttempted) << what;
-    EXPECT_EQ(a.appIssued, b.appIssued) << what;
-    EXPECT_EQ(a.hostIssued, b.hostIssued) << what;
-}
-
 } // namespace
 
 /**
@@ -288,13 +259,12 @@ expectEqual(const golden::Expect &a, const golden::Expect &b,
 TEST(GoldenEquivalence, SinkAttachedAndRecording)
 {
     for (const golden::Scenario &scenario : golden::goldenScenarios()) {
-        const golden::Expect baseline =
-            golden::flatten(golden::runScenario(scenario));
+        const RunStats baseline = golden::runScenario(scenario);
 
         obs::TraceSink active(1u << 16);
         const RunStats traced = runScenarioWithSink(scenario, active);
-        expectEqual(baseline, golden::flatten(traced),
-                    scenario.name + "/recording");
+        golden::expectSameStats(baseline, traced,
+                                scenario.name + "/recording");
         // The run TLB-misses, so the sink must have seen walks.
         EXPECT_GT(active.emitted(), 0u) << scenario.name;
         const bool nested = scenario.env.virtualized;

@@ -650,6 +650,7 @@ TEST(Journal, EveryRunStatsPartEncodesByteForByte)
     exp::CellResult back;
     ASSERT_TRUE(exp::cellResultFromJson(*doc, back));
     EXPECT_EQ(exp::cellResultToJson(back).dump(), dump);
+    EXPECT_TRUE(back.stats.diff(r.stats).empty());
 }
 
 TEST(Journal, ResumeReproducesArtifactsByteForByte)

@@ -6,11 +6,13 @@
  */
 
 #include <cstdio>
+#include <functional>
 #include <map>
 
 #include <gtest/gtest.h>
 
 #include "golden_scenarios.hh"
+#include "common/logging.hh"
 #include "sim/environment.hh"
 #include "sim/machine.hh"
 #include "sim/simulator.hh"
@@ -184,9 +186,62 @@ TEST(Simulator, DeterministicAcrossRuns)
     Environment env2(tinySpec());
     const RunStats a = env1.run(makeMachineConfig(), tinyRun());
     const RunStats b = env2.run(makeMachineConfig(), tinyRun());
-    EXPECT_EQ(a.tlbMisses, b.tlbMisses);
-    EXPECT_EQ(a.walkLatency.sum(), b.walkLatency.sum());
-    EXPECT_EQ(a.totalCycles, b.totalCycles);
+    golden::expectSameStats(a, b, "second environment");
+}
+
+/**
+ * diff() reports each changed value of every part type as exactly one
+ * line that starts with the field's name; identical runs report none.
+ */
+TEST(RunStatsDiff, OneLinePerChangedField)
+{
+    const RunStats base =
+        golden::runScenario(golden::goldenScenarios()[1]);
+    ASSERT_GT(base.counters.size(), 5u);
+    EXPECT_TRUE(base.diff(base).empty());
+
+    constexpr std::size_t lastBucket = obs::Histogram::numBuckets - 1;
+    const std::string counter = base.counters[5].first;
+    const std::vector<std::pair<std::string,
+                                std::function<void(RunStats &)>>>
+        changes = {
+            {"tlbMisses: ", [](RunStats &s) { ++s.tlbMisses; }},
+            {"walkLatency.sqHi: ",
+             [](RunStats &s) {
+                 const SampleStat w = s.walkLatency;
+                 s.walkLatency.restore(w.count(), w.sum(), w.min(),
+                                       w.max(), w.sumSquaresHi() + 1,
+                                       w.sumSquaresLo());
+             }},
+            {"levelDist[3].L2: ",
+             [](RunStats &s) {
+                 LevelDistribution &d = s.levelDist[3];
+                 d.restoreCount(MemLevel::L2, d.count(MemLevel::L2) + 1);
+             }},
+            {strprintf("walkHist.b[%zu]: ", lastBucket),
+             [](RunStats &s) { s.walkHist.setBucketCount(lastBucket, 1); }},
+            {strprintf("levelHist[2].b[%zu]: ", lastBucket),
+             [](RunStats &s) {
+                 s.levelHist[2].setBucketCount(lastBucket, 1);
+             }},
+            {"hostAsap.rangeHits: ",
+             [](RunStats &s) { ++s.hostAsap.rangeHits; }},
+            {"dyn.regionFramesReleased: ",
+             [](RunStats &s) { ++s.dyn.regionFramesReleased; }},
+            {"counters[5]: " + counter,
+             [](RunStats &s) { ++s.counters[5].second; }},
+            {"counters[5]: " + counter,
+             [](RunStats &s) { s.counters[5].first += "X"; }},
+        };
+    for (const auto &[field, change] : changes) {
+        SCOPED_TRACE(field);
+        RunStats changed = base;
+        change(changed);
+        for (const auto &lines : {base.diff(changed), changed.diff(base)}) {
+            ASSERT_EQ(lines.size(), 1u);
+            EXPECT_EQ(lines[0].rfind(field, 0), 0u) << lines[0];
+        }
+    }
 }
 
 TEST(Simulator, SeedChangesStream)
@@ -370,37 +425,6 @@ TEST(Suite, Table2VmaCounts)
     }
 }
 
-namespace
-{
-
-/** Every field of a golden digest, compared one by one. */
-void
-expectSameDigest(const golden::Expect &got, const golden::Expect &want)
-{
-    EXPECT_EQ(got.tlbL1Hits, want.tlbL1Hits);
-    EXPECT_EQ(got.tlbL2Hits, want.tlbL2Hits);
-    EXPECT_EQ(got.tlbMisses, want.tlbMisses);
-    EXPECT_EQ(got.faults, want.faults);
-    EXPECT_EQ(got.walkCount, want.walkCount);
-    EXPECT_EQ(got.walkSum, want.walkSum);
-    EXPECT_EQ(got.walkMin, want.walkMin);
-    EXPECT_EQ(got.walkMax, want.walkMax);
-    EXPECT_EQ(got.totalCycles, want.totalCycles);
-    EXPECT_EQ(got.walkCycles, want.walkCycles);
-    EXPECT_EQ(got.dataCycles, want.dataCycles);
-    EXPECT_EQ(got.computeCycles, want.computeCycles);
-    EXPECT_EQ(got.levelTotal, want.levelTotal);
-    EXPECT_EQ(got.levelPwc, want.levelPwc);
-    EXPECT_EQ(got.levelDram, want.levelDram);
-    EXPECT_EQ(got.appTriggers, want.appTriggers);
-    EXPECT_EQ(got.appRangeHits, want.appRangeHits);
-    EXPECT_EQ(got.appAttempted, want.appAttempted);
-    EXPECT_EQ(got.appIssued, want.appIssued);
-    EXPECT_EQ(got.hostIssued, want.hostIssued);
-}
-
-} // namespace
-
 /**
  * Refactor-safety goldens: the complete observable RunStats of six
  * structurally distinct configurations, pinned bit-for-bit.
@@ -475,8 +499,8 @@ TEST(Golden, RunStatsBitIdenticalAcrossConfigs)
         SCOPED_TRACE(scenario.name);
         const auto it = expected.find(scenario.name);
         ASSERT_NE(it, expected.end());
-        expectSameDigest(golden::flatten(golden::runScenario(scenario)),
-                         it->second);
+        golden::expectSameDigest(
+            golden::flatten(golden::runScenario(scenario)), it->second);
     }
 }
 
@@ -521,8 +545,8 @@ TEST(Golden, PerfectTlbAndChurnBitIdentical)
         SCOPED_TRACE(scenario.name);
         ASSERT_EQ(expected.count(scenario.name), 1u);
         const RunStats stats = golden::runScenario(scenario);
-        expectSameDigest(golden::flatten(stats),
-                         expected.at(scenario.name));
+        golden::expectSameDigest(golden::flatten(stats),
+                                 expected.at(scenario.name));
         EXPECT_EQ(golden::flattenDyn(stats),
                   expectedDyn.at(scenario.name));
     }
@@ -548,8 +572,7 @@ TEST(Golden, TraceReplayBitIdentical)
         if (scenario.name != "native_asap" && scenario.name != "virt_2d")
             continue;
         SCOPED_TRACE(scenario.name);
-        const golden::Expect live =
-            golden::flatten(golden::runScenario(scenario));
+        const RunStats live = golden::runScenario(scenario);
 
         System system(makeSystemConfig(golden::goldenSpec(),
                                        scenario.env));
@@ -557,9 +580,9 @@ TEST(Golden, TraceReplayBitIdentical)
         replay.setup(system);
         Machine machine(system, scenario.machine);
         Simulator simulator(system, machine, replay);
-        expectSameDigest(golden::flatten(simulator.run(
-                             golden::goldenRunConfig(scenario.colocation))),
-                         live);
+        golden::expectSameStats(
+            simulator.run(golden::goldenRunConfig(scenario.colocation)),
+            live, "replay vs live");
     }
     std::remove(path.c_str());
 }

@@ -64,15 +64,6 @@ runScenarioWithTimeline(const golden::Scenario &scenario,
     return simulator.run(run);
 }
 
-/** golden::Expect is all uint64_t (no padding surprises): bitwise
- *  equality is the whole point of the golden suite. */
-void
-expectGoldenEq(const golden::Expect &a, const golden::Expect &b,
-               const std::string &what)
-{
-    EXPECT_EQ(std::memcmp(&a, &b, sizeof(golden::Expect)), 0) << what;
-}
-
 std::string
 readFile(const std::string &path)
 {
@@ -239,17 +230,7 @@ TEST(GoldenEquivalence, TimelineAttachedAndEnabled)
         const RunStats timed =
             runScenarioWithTimeline(scenario, timeline);
 
-        expectGoldenEq(golden::flatten(baseline),
-                       golden::flatten(timed), scenario.name);
-        // The registered counter snapshot too, name for name.
-        ASSERT_EQ(timed.counters.size(), baseline.counters.size());
-        for (std::size_t i = 0; i < timed.counters.size(); ++i) {
-            EXPECT_EQ(timed.counters[i].first,
-                      baseline.counters[i].first);
-            EXPECT_EQ(timed.counters[i].second,
-                      baseline.counters[i].second)
-                << baseline.counters[i].first;
-        }
+        golden::expectSameStats(baseline, timed, scenario.name);
         EXPECT_GT(timeline.epochCount(), 0u);
     }
 }
@@ -275,8 +256,7 @@ TEST(GoldenEquivalence, TraceReplayTimelineMatchesSerial)
     const RunStats withTimeline =
         timed.run(scenario.machine, run, nullptr, &timeline);
 
-    expectGoldenEq(golden::flatten(serial),
-                   golden::flatten(withTimeline), "serial vs timeline");
+    golden::expectSameStats(serial, withTimeline, "serial vs timeline");
     EXPECT_GT(timeline.epochCount(), 1u);
 }
 

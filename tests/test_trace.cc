@@ -76,31 +76,6 @@ replayAddresses(const std::string &path, std::size_t count)
     return out;
 }
 
-void
-expectStatsEqual(const golden::Expect &live, const golden::Expect &rep)
-{
-    EXPECT_EQ(live.tlbL1Hits, rep.tlbL1Hits);
-    EXPECT_EQ(live.tlbL2Hits, rep.tlbL2Hits);
-    EXPECT_EQ(live.tlbMisses, rep.tlbMisses);
-    EXPECT_EQ(live.faults, rep.faults);
-    EXPECT_EQ(live.walkCount, rep.walkCount);
-    EXPECT_EQ(live.walkSum, rep.walkSum);
-    EXPECT_EQ(live.walkMin, rep.walkMin);
-    EXPECT_EQ(live.walkMax, rep.walkMax);
-    EXPECT_EQ(live.totalCycles, rep.totalCycles);
-    EXPECT_EQ(live.walkCycles, rep.walkCycles);
-    EXPECT_EQ(live.dataCycles, rep.dataCycles);
-    EXPECT_EQ(live.computeCycles, rep.computeCycles);
-    EXPECT_EQ(live.levelTotal, rep.levelTotal);
-    EXPECT_EQ(live.levelPwc, rep.levelPwc);
-    EXPECT_EQ(live.levelDram, rep.levelDram);
-    EXPECT_EQ(live.appTriggers, rep.appTriggers);
-    EXPECT_EQ(live.appRangeHits, rep.appRangeHits);
-    EXPECT_EQ(live.appAttempted, rep.appAttempted);
-    EXPECT_EQ(live.appIssued, rep.appIssued);
-    EXPECT_EQ(live.hostIssued, rep.hostIssued);
-}
-
 /** Run @p spec on a fresh System (live generator or trace replay). */
 RunStats
 runFresh(const WorkloadSpec &spec, const EnvironmentOptions &options,
@@ -319,11 +294,10 @@ TEST(TraceFormat, LegacyV1LoadsAsOneChunk)
     run.seed = 7;
     const EnvironmentOptions env;
     const MachineConfig machine;
-    expectStatsEqual(
-        golden::flatten(runFresh(traceSpec(recorded.path()), env,
-                                 machine, run)),
-        golden::flatten(runFresh(traceSpec(legacy.path()), env, machine,
-                                 run)));
+    golden::expectSameStats(
+        runFresh(traceSpec(recorded.path()), env, machine, run),
+        runFresh(traceSpec(legacy.path()), env, machine, run),
+        "v2 vs legacy");
 }
 
 TEST(TraceReplay, StreamMatchesGenerator)
@@ -440,8 +414,7 @@ TEST(TraceReplay, RoundTripAllSuiteWorkloads)
         const MachineConfig machine;
         const RunStats live = runFresh(spec, options, machine, run);
         const RunStats replayed = runFresh(replay, options, machine, run);
-        expectStatsEqual(golden::flatten(live),
-                         golden::flatten(replayed));
+        golden::expectSameStats(live, replayed, "replay vs live");
         EXPECT_EQ(live.accesses, run.measureAccesses);
     }
 }

@@ -87,24 +87,6 @@ runFresh(const WorkloadSpec &spec, const EnvironmentOptions &options,
     return simulator.run(run);
 }
 
-void
-expectStatsEqual(const golden::Expect &live, const golden::Expect &rep)
-{
-    EXPECT_EQ(live.tlbL1Hits, rep.tlbL1Hits);
-    EXPECT_EQ(live.tlbL2Hits, rep.tlbL2Hits);
-    EXPECT_EQ(live.tlbMisses, rep.tlbMisses);
-    EXPECT_EQ(live.faults, rep.faults);
-    EXPECT_EQ(live.walkCount, rep.walkCount);
-    EXPECT_EQ(live.walkSum, rep.walkSum);
-    EXPECT_EQ(live.totalCycles, rep.totalCycles);
-    EXPECT_EQ(live.walkCycles, rep.walkCycles);
-    EXPECT_EQ(live.dataCycles, rep.dataCycles);
-    EXPECT_EQ(live.computeCycles, rep.computeCycles);
-    EXPECT_EQ(live.levelTotal, rep.levelTotal);
-    EXPECT_EQ(live.appIssued, rep.appIssued);
-    EXPECT_EQ(live.hostIssued, rep.hostIssued);
-}
-
 /** Copy @p src to @p dst with byte @p offset xor'd by @p mask. */
 void
 corruptCopy(const std::string &src, const std::string &dst,
@@ -324,8 +306,7 @@ TEST(Trc2Replay, RoundTripAllSuiteWorkloads)
         const EnvironmentOptions native;
         const RunStats live = runFresh(spec, native, machine, run);
         const RunStats replayed = runFresh(replay, native, machine, run);
-        expectStatsEqual(golden::flatten(live),
-                         golden::flatten(replayed));
+        golden::expectSameStats(live, replayed, "native replay vs live");
 
         if (!virtChecked) {
             // Second golden environment: virtualized 2D walks.
@@ -334,8 +315,8 @@ TEST(Trc2Replay, RoundTripAllSuiteWorkloads)
             const RunStats liveVirt = runFresh(spec, virt, machine, run);
             const RunStats replayedVirt =
                 runFresh(replay, virt, machine, run);
-            expectStatsEqual(golden::flatten(liveVirt),
-                             golden::flatten(replayedVirt));
+            golden::expectSameStats(liveVirt, replayedVirt,
+                                    "virt replay vs live");
             virtChecked = true;
         }
     }
