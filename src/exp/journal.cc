@@ -439,24 +439,21 @@ CellJournal::open(const std::string &name, std::size_t cellCount,
     cellCount_ = cellCount;
 
     bool headerOk = false;
+    // The end of the last line that parsed: appends start there, so a
+    // torn final line (killed mid-write) is cut off.
     std::uint64_t goodBytes = 0;
     if (resume) {
         std::ifstream in(path);
         std::string line;
+        std::uint64_t offset = 0;
         bool first = true;
         while (in && std::getline(in, line)) {
-            if (line.empty()) {
-                goodBytes += 1;
-                continue;
-            }
+            offset += line.size() + 1;
+            // An unparsable line costs only its own record.
             const auto doc = Json::parse(line);
-            if (!doc) {
-                // A torn final line (killed mid-write) is expected;
-                // anything after it would be suspect anyway. New
-                // records will overwrite it (goodBytes truncation).
-                break;
-            }
-            goodBytes += line.size() + 1;
+            if (!doc)
+                continue;
+            goodBytes = offset;
             if (first) {
                 first = false;
                 const Json *kind = doc->find("journal");

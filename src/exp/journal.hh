@@ -29,9 +29,9 @@
  *    "stats":{...},"extra":{...}}                            (records)
  *
  * A journal whose header does not match the running sweep (renamed
- * sweep, different cell count, unparsable lines) contributes nothing:
- * resume quietly falls back to recomputing. So does a record whose
- * cell index or attempt count is not an integer in range.
+ * sweep, different cell count) contributes nothing: resume quietly
+ * recomputes. A record that does not parse, or whose cell index or
+ * attempt count is not an integer in range, costs only its own cell.
  */
 
 #ifndef ASAP_EXP_JOURNAL_HH

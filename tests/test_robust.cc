@@ -779,6 +779,9 @@ TEST(Journal, OutOfRangeNumbersAreNeverRestored)
         ScopedEnv resume("ASAP_RESUME", "1");
         const exp::ResultSet out = exp::SweepRunner(1).run(sweep);
         EXPECT_FALSE(out.cell("r", "a").resumed);
+        // A bad record costs only its own cell: the later cell (s, a),
+        // a group of its own, still restores past it.
+        EXPECT_EQ(out.cell("s", "a").resumed, from != header);
         EXPECT_EQ(out.toCsv(), csvRef);
         EXPECT_EQ(out.toJson().dump(2), jsonRef);
         EXPECT_EQ(readAll(journalPath), journalRef);
