@@ -2,16 +2,22 @@
 # Pin the sweep artifacts: run every figure, table and ablation binary
 # in quick mode at ASAP_JOBS=1 and at ASAP_JOBS=4, and require that the
 # two runs leave byte-identical result files (journals included) and
-# stdout. With REF_DIR (the OUT_DIR of another build, e.g. the parent
-# commit's), both runs must also match that reference byte for byte.
+# stdout. Then rerun every binary with ASAP_RESUME=1 over a copy of the
+# ASAP_JOBS=4 results: each sweep must restore every cell from its
+# journal, recompute none, and again leave the same files and stdout.
+# With REF_DIR (the OUT_DIR of another build, e.g. the parent
+# commit's), both fresh runs must also match that reference byte for
+# byte.
 #
 # Usage: tools/check_sweep_artifacts.sh BUILD_DIR OUT_DIR [REF_DIR]
 #
-# OUT_DIR/jobs<N>/results/ holds what ASAP_RESULTS_DIR received and
-# OUT_DIR/jobs<N>/stdout/<binary>.txt each binary's stdout. Stderr
-# (progress lines, scheduling-dependent order) goes to
-# OUT_DIR/jobs<N>/stderr/ and is not compared. Exits non-zero on any
-# difference or on any binary that fails.
+# OUT_DIR/<run>/results/ holds what ASAP_RESULTS_DIR received and
+# OUT_DIR/<run>/stdout/<binary>.txt each binary's stdout, for the runs
+# jobs1, jobs4 and resume. Stderr (progress lines, scheduling-dependent
+# order) goes to OUT_DIR/<run>/stderr/ and is compared only in that the
+# resume run's must hold no "[k/n] ... done" line: those mark sweep
+# groups that ran. Exits non-zero on any difference or on any binary
+# that fails.
 
 set -euo pipefail
 
@@ -36,9 +42,11 @@ for file in "$src"/bench/*.cc; do
 done
 
 status=0
-rm -rf "$out"
-for jobs in 1 4; do
-    dir=$out/jobs$jobs
+
+# run_all DIR JOBS [RESUME]: run every binary into DIR at ASAP_JOBS=JOBS,
+# with ASAP_RESUME=1 when RESUME is set.
+run_all() {
+    local dir=$1 jobs=$2 resume=${3:-}
     mkdir -p "$dir/results" "$dir/stdout" "$dir/stderr"
     for name in "${benches[@]}"; do
         args=()
@@ -49,16 +57,28 @@ for jobs in 1 4; do
         # changes what a sweep runs.
         if ! env -u ASAP_PROFILE -u ASAP_TIMELINE -u ASAP_FAULT \
             -u ASAP_RESUME -u ASAP_CELL_TIMEOUT -u ASAP_CELL_RETRIES \
-            -u ASAP_RETRY_BASE_MS \
+            -u ASAP_RETRY_BASE_MS ${resume:+ASAP_RESUME=1} \
             ASAP_QUICK=1 ASAP_JOBS=$jobs ASAP_RESULTS_DIR="$dir/results" \
             "$build/$name" "${args[@]}" \
             > "$dir/stdout/$name.txt" 2> "$dir/stderr/$name.txt"; then
             echo "FAIL: $name exited non-zero at ASAP_JOBS=$jobs" \
-                "(see $dir/stderr/$name.txt)" >&2
+                "${resume:+(resume) }(see $dir/stderr/$name.txt)" >&2
             status=1
         fi
     done
-done
+}
+
+rm -rf "$out"
+run_all "$out/jobs1" 1
+run_all "$out/jobs4" 4
+mkdir -p "$out/resume"
+cp -r "$out/jobs4/results" "$out/resume/results"
+run_all "$out/resume" 4 resume
+
+if grep -E '\[[0-9]+/[0-9]+\] .* done$' "$out/resume/stderr/"*.txt >&2; then
+    echo "FAIL: the resume run recomputed the sweep groups above" >&2
+    status=1
+fi
 
 compare() {
     if ! diff -r "$1/results" "$2/results" > /dev/null ||
@@ -71,6 +91,7 @@ compare() {
 }
 
 compare "$out/jobs1" "$out/jobs4"
+compare "$out/jobs1" "$out/resume"
 if [[ -n $ref ]]; then
     compare "$ref/jobs1" "$out/jobs1"
     compare "$ref/jobs4" "$out/jobs4"
@@ -79,6 +100,7 @@ fi
 files=$(find "$out/jobs1/results" -type f | wc -l)
 if [[ $status -eq 0 ]]; then
     echo "OK: ${#benches[@]} binaries, $files result files per run," \
-        "identical at ASAP_JOBS=1 and 4${ref:+ and to $ref}"
+        "identical at ASAP_JOBS=1 and 4, resumed with no cell" \
+        "recomputed${ref:+, and to $ref}"
 fi
 exit $status
