@@ -333,10 +333,12 @@ environmentKey(const WorkloadSpec &spec, const EnvironmentOptions &env)
     std::string levels;
     for (const unsigned level : env.asapLevels)
         levels += strprintf("%u.", level);
+    // "|i0" stands for a deleted field: it keeps every journal key, so
+    // journals written before the deletion still resume.
     return strprintf(
         "%s|t%s|%g|%lu|%u|%u|%u|%g|%g|%g|%lu|%g|%u|%g|%lu|%lu|%lu|%lu|%u"
         "|d%s|dp%lu|di%g"
-        "|v%d|a%d|h%d|p%u|q%u|L%s|hf%g|pp%g|s%lu|i%u",
+        "|v%d|a%d|h%d|p%u|q%u|L%s|hf%g|pp%g|s%lu|i0",
         spec.name.c_str(), spec.tracePath.c_str(), spec.paperGb,
         spec.residentPages, spec.dataVmas,
         spec.smallVmas, spec.cyclesPerAccess, spec.seqFraction,
@@ -348,7 +350,7 @@ environmentKey(const WorkloadSpec &spec, const EnvironmentOptions &env)
         spec.dynIntensity, env.virtualized ? 1 : 0,
         env.asapPlacement ? 1 : 0, env.hostHugePages ? 1 : 0,
         env.ptLevels, env.hostPtLevels, levels.c_str(), env.holeFraction,
-        env.pinnedProb, env.seed, env.instance);
+        env.pinnedProb, env.seed);
 }
 
 /**
@@ -356,7 +358,7 @@ environmentKey(const WorkloadSpec &spec, const EnvironmentOptions &env)
  * demand-fault/cursor churn sharing tolerates? Dynamic (OS-event)
  * runs munmap VMAs, free frames and tear down ASAP regions, so cells
  * carrying an event stream must never share an Environment — each
- * gets a private instance regardless of EnvironmentOptions::instance.
+ * gets a private one.
  */
 bool
 runMutatesEnvironment(const WorkloadSpec &spec)

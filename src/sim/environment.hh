@@ -38,14 +38,6 @@ struct EnvironmentOptions
     double holeFraction = 0.0;
     double pinnedProb = 0.0;
     std::uint64_t seed = 1;
-    /**
-     * Environment-instance discriminator: cells differing only in it
-     * get *separate* (but identically constructed) Environments.
-     * Dynamic (OS-event) cells are privatized automatically by the
-     * SweepRunner; set this for any other run that mutates shared
-     * Environment state and must not be grouped.
-     */
-    unsigned instance = 0;
 };
 
 /** Merge a workload spec and environment options into a SystemConfig. */
