@@ -136,8 +136,6 @@ class ZipfianGenerator
     /** Draw an item rank in [0, n). */
     std::uint64_t next(Rng &rng) const;
 
-    std::uint64_t numItems() const { return n_; }
-
   private:
     std::uint64_t n_;
     double theta_;

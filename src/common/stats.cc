@@ -5,22 +5,6 @@
 namespace asap
 {
 
-std::uint64_t
-Histogram::quantile(double q) const
-{
-    if (count_ == 0)
-        return 0;
-    const auto target = static_cast<std::uint64_t>(
-        q * static_cast<double>(count_));
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        seen += buckets_[i];
-        if (seen > target)
-            return (i + 1) * bucketWidth_;
-    }
-    return buckets_.size() * bucketWidth_;
-}
-
 std::string
 LevelDistribution::format() const
 {

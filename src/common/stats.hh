@@ -1,7 +1,7 @@
 /**
  * @file
- * Lightweight statistics primitives: scalar counters, mean/min/max
- * accumulators, bucketed histograms and per-MemLevel distributions.
+ * Lightweight statistics primitives: mean/min/max accumulators and
+ * per-MemLevel distributions (bucketed histograms: obs/histogram.hh).
  *
  * These deliberately avoid any global registry: each simulator component
  * owns its stats and the scenario runner aggregates them into reports.
@@ -12,11 +12,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <vector>
 
 #include "common/mem_level.hh"
 
@@ -46,16 +44,6 @@ class SampleStat
         sumSquares_ += static_cast<unsigned __int128>(value) * value;
         min_ = std::min(min_, value);
         max_ = std::max(max_, value);
-    }
-
-    void
-    reset()
-    {
-        count_ = 0;
-        sum_ = 0;
-        sumSquares_ = 0;
-        min_ = std::numeric_limits<std::uint64_t>::max();
-        max_ = 0;
     }
 
     /** Fold another accumulator in (cross-run / cross-tenant
@@ -124,13 +112,6 @@ class SampleStat
         return static_cast<double>(sumSquares_) / n - m * m;
     }
 
-    double
-    stddev() const
-    {
-        const double var = variance();
-        return var > 0.0 ? std::sqrt(var) : 0.0;
-    }
-
   private:
     std::uint64_t count_ = 0;
     std::uint64_t sum_ = 0;
@@ -138,47 +119,6 @@ class SampleStat
     unsigned __int128 sumSquares_ = 0;
     std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t max_ = 0;
-};
-
-/**
- * Histogram with fixed-width buckets plus an overflow bucket.
- */
-class Histogram
-{
-  public:
-    Histogram(std::uint64_t bucketWidth, std::size_t numBuckets)
-        : bucketWidth_(bucketWidth), buckets_(numBuckets + 1, 0)
-    {}
-
-    void
-    sample(std::uint64_t value)
-    {
-        std::size_t idx = value / bucketWidth_;
-        if (idx >= buckets_.size() - 1)
-            idx = buckets_.size() - 1;
-        ++buckets_[idx];
-        ++count_;
-    }
-
-    std::uint64_t count() const { return count_; }
-    std::uint64_t bucketWidth() const { return bucketWidth_; }
-    std::size_t numBuckets() const { return buckets_.size(); }
-    std::uint64_t bucketCount(std::size_t i) const { return buckets_.at(i); }
-
-    /** Approximate p-quantile (0 <= q <= 1) from bucket boundaries. */
-    std::uint64_t quantile(double q) const;
-
-    void
-    reset()
-    {
-        std::fill(buckets_.begin(), buckets_.end(), 0);
-        count_ = 0;
-    }
-
-  private:
-    std::uint64_t bucketWidth_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t count_ = 0;
 };
 
 /**

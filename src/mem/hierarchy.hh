@@ -175,7 +175,6 @@ class MemoryHierarchy
      * cross-tenant lines can never falsely merge.
      */
     void setLineBias(std::uint64_t bias) { lineBias_ = bias; }
-    std::uint64_t lineBias() const { return lineBias_; }
 
     const Cache &l1d() const { return l1d_; }
     const Cache &l2() const { return l2_; }

@@ -4,7 +4,7 @@
  *
  * Only the fields the simulation needs are modeled: present, the
  * large-page (PS) bit that terminates a walk above PL1 (paper Section
- * 3.5), accessed/dirty for OS bookkeeping, and the target frame number.
+ * 3.5), and the target frame number.
  * The bit layout mirrors x86 so tests can assert against architectural
  * positions.
  */
@@ -26,8 +26,6 @@ class Pte
     static constexpr std::uint64_t presentBit = 1ull << 0;
     static constexpr std::uint64_t writableBit = 1ull << 1;
     static constexpr std::uint64_t userBit = 1ull << 2;
-    static constexpr std::uint64_t accessedBit = 1ull << 5;
-    static constexpr std::uint64_t dirtyBit = 1ull << 6;
     static constexpr std::uint64_t hugeBit = 1ull << 7;   ///< PS bit
     static constexpr std::uint64_t pfnMask = 0x000ffffffffff000ull;
 
@@ -50,14 +48,10 @@ class Pte
     constexpr bool present() const { return raw_ & presentBit; }
     constexpr bool writable() const { return raw_ & writableBit; }
     constexpr bool user() const { return raw_ & userBit; }
-    constexpr bool accessed() const { return raw_ & accessedBit; }
-    constexpr bool dirty() const { return raw_ & dirtyBit; }
     constexpr bool huge() const { return raw_ & hugeBit; }
     constexpr Pfn pfn() const { return (raw_ & pfnMask) >> pageShift; }
     constexpr std::uint64_t raw() const { return raw_; }
 
-    void setAccessed() { raw_ |= accessedBit; }
-    void setDirty() { raw_ |= dirtyBit; }
     void clear() { raw_ = 0; }
 
     /**

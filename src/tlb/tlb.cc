@@ -128,9 +128,6 @@ ClusteredTlb::fill(VirtAddr va, const Translation &translation,
     for (unsigned sub = 0; sub < clusterPages; ++sub)
         slot.way.payload->offsets[sub] = offsets[sub];
     entries_.touch(slot.way);
-    ++filledEntries_;
-    filledSubPages_ += static_cast<unsigned>(
-        __builtin_popcount(validMask));
 }
 
 void
@@ -139,8 +136,6 @@ ClusteredTlb::flush()
     entries_.flush();
     hits_ = 0;
     misses_ = 0;
-    filledEntries_ = 0;
-    filledSubPages_ = 0;
 }
 
 std::uint64_t
@@ -154,15 +149,6 @@ ClusteredTlb::invalidateRange(VirtAddr start, VirtAddr end)
             const VirtAddr base = (tag << clusterShift) << pageShift;
             return base < end && base + clusterSpan > start;
         });
-}
-
-double
-ClusteredTlb::averageClusterOccupancy() const
-{
-    return filledEntries_ == 0
-               ? 0.0
-               : static_cast<double>(filledSubPages_) /
-                     static_cast<double>(filledEntries_);
 }
 
 TlbHierarchy::TlbHierarchy(const Config &config)

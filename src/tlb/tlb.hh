@@ -276,8 +276,6 @@ class ClusteredTlb
     std::uint64_t misses() const { return misses_; }
     /** Currently valid entries (occupancy gauge; off the hot path). */
     std::uint64_t validEntries() const { return entries_.validCount(); }
-    /** Mean number of valid sub-pages per filled entry (diagnostic). */
-    double averageClusterOccupancy() const;
 
   private:
     /** Per-way state beyond the cluster tag (the search key). */
@@ -292,8 +290,6 @@ class ClusteredTlb
     SetAssoc<Payload> entries_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
-    std::uint64_t filledEntries_ = 0;
-    std::uint64_t filledSubPages_ = 0;
 };
 
 /** Which structure provided a TLB hit. */

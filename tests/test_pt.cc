@@ -41,18 +41,6 @@ TEST(Pte, LeafSemantics)
     EXPECT_TRUE(huge.isLeaf(3));
 }
 
-TEST(Pte, AccessedDirty)
-{
-    Pte pte = Pte::make(7);
-    EXPECT_FALSE(pte.accessed());
-    pte.setAccessed();
-    EXPECT_TRUE(pte.accessed());
-    EXPECT_FALSE(pte.dirty());
-    pte.setDirty();
-    EXPECT_TRUE(pte.dirty());
-    EXPECT_EQ(pte.pfn(), 7u);   // flags don't clobber the frame
-}
-
 TEST(Pte, ClearInvalidates)
 {
     Pte pte = Pte::make(9);
