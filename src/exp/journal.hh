@@ -13,13 +13,14 @@
  * byte-identical to an uninterrupted run.
  *
  * Full fidelity matters for that byte-identity: RunStats is serialized
- * field by field with u64 values as decimal *strings* (JSON numbers
- * are doubles; counters past 2^53 would silently round), histograms as
- * sparse bucket maps, and counters as an ordered list. The wall-clock
- * self-profile is deliberately NOT journaled — it is nondeterministic,
- * only ever emitted under ASAP_PROFILE=1, and a resumed run cannot
- * reproduce it (document: ASAP_PROFILE artifacts of a resumed run show
- * zero profile blocks for the resumed cells).
+ * part by part (RunStats::forEachPart, in its order) with u64 values as
+ * decimal *strings* (JSON numbers are doubles; counters past 2^53 would
+ * silently round), histograms as sparse bucket maps, and counters as an
+ * ordered list. The wall-clock self-profile is deliberately NOT
+ * journaled — it is nondeterministic, only ever emitted under
+ * ASAP_PROFILE=1, and a resumed run cannot reproduce it (document:
+ * ASAP_PROFILE artifacts of a resumed run show zero profile blocks for
+ * the resumed cells).
  *
  * Journal layout (one JSON document per line):
  *   {"journal":"asap-sweep-cells","version":1,"sweep":<name>,

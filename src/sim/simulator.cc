@@ -49,8 +49,7 @@ mergePart(std::array<T, N> &into, const std::array<T, N> &from)
         into[i].merge(from[i]);
 }
 
-// RunStats::diff of one part: a line per differing field, named as
-// the journal names it.
+// RunStats::diff of one part: a line per differing field.
 
 using DiffLines = std::vector<std::string>;
 

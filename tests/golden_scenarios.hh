@@ -14,6 +14,9 @@
  *
  * Scenario construction deliberately bypasses Environment so that
  * ASAP_QUICK scaling cannot perturb the pinned workload.
+ *
+ * Tests compare a run against pinned literals with expectSameDigest and
+ * two runs with each other with expectSameStats (every RunStats part).
  */
 
 #ifndef ASAP_TESTS_GOLDEN_SCENARIOS_HH
