@@ -57,7 +57,7 @@
  *      clients whose match is wider than the key) wins — refresh/merge;
  *   2. otherwise the first invalid way in scan order is the victim
  *      (valid ways always form a prefix of the set: fills take the
- *      first hole and invalidateKey compacts, so the scan's early
+ *      first hole and invalidateWhere compacts, so the scan's early
  *      exit at an invalid way can never shadow a later match);
  *   3. otherwise the least-recently-used way, first-lowest on ties.
  */
@@ -245,40 +245,15 @@ class SetAssoc
     }
 
     /**
-     * Drop the way holding @p key from @p set, if present. The set's
-     * last valid way is moved into the hole so valid ways stay a
-     * prefix — the invariant the combined scan's early exit relies on.
-     * (Ticks are unique, so relocating a way cannot change any LRU
-     * decision; only which physical slot it occupies.)
-     */
-    void
-    invalidateKey(std::uint64_t set, std::uint64_t key)
-    {
-        Way *base = setBase(set);
-        for (unsigned w = 0; w < ways_; ++w) {
-            if (base[w].key != key)
-                continue;
-            unsigned last = ways_;
-            while (last > w + 1 && base[last - 1].key == 0)
-                --last;
-            if (last - 1 > w)
-                base[w] = base[last - 1];
-            base[last - 1].key = 0;
-            base[last - 1].tick = 0;
-            return;
-        }
-    }
-
-    /**
      * Drop every valid way whose (key, payload) satisfies @p pred —
      * the targeted-invalidation primitive behind the TLB/PWC VA-range
      * shootdowns (dyn subsystem). Full scan: this runs on OS events
      * (munmap, madvise), never on the per-access hot path.
      *
      * @p pred is invoked exactly once per valid way (clients may update
-     * side counts inside it); removal compacts the set the same way
-     * invalidateKey does, so valid ways stay a prefix and surviving
-     * ticks — hence all LRU decisions — are untouched.
+     * side counts inside it); the set's last valid way is moved into
+     * each hole, so valid ways stay a prefix and surviving ticks —
+     * hence all LRU decisions — are untouched.
      * @return the number of ways dropped.
      */
     template <typename Pred>

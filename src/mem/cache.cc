@@ -15,12 +15,4 @@ Cache::Cache(const CacheConfig &config)
     ways_.init(config_.numSets(), config_.ways);
 }
 
-void
-Cache::reset()
-{
-    ways_.flush();
-    hits_ = 0;
-    misses_ = 0;
-}
-
 } // namespace asap

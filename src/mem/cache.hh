@@ -113,17 +113,6 @@ class Cache
         ways_.touch(slot.way);
     }
 
-    /** Remove the line containing @p paddr if present. */
-    void
-    invalidate(PhysAddr paddr)
-    {
-        const std::uint64_t tag = tagOf(paddr);
-        ways_.invalidateKey(ways_.setOf(tag), SetAssoc<>::keyFor(tag));
-    }
-
-    /** Drop all contents (fresh scenario runs). */
-    void reset();
-
     const CacheConfig &config() const { return config_; }
 
     std::uint64_t hits() const { return hits_; }

@@ -16,16 +16,4 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &config,
     }
 }
 
-void
-MemoryHierarchy::reset()
-{
-    l1d_.reset();
-    l2_.reset();
-    llc_->reset();
-    inflightCount_ = 0;
-    prefetchesIssued_ = 0;
-    prefetchesDropped_ = 0;
-    prefetchMerges_ = 0;
-}
-
 } // namespace asap

@@ -162,9 +162,6 @@ class MemoryHierarchy
         return true;
     }
 
-    /** Drop all cache contents and in-flight prefetch state. */
-    void reset();
-
     /**
      * Physical-line bias added to every line this hierarchy touches —
      * how the multi-core model maps N tenants' overlapping physical
@@ -189,7 +186,7 @@ class MemoryHierarchy
     unsigned inflightPrefetches() const { return inflightCount_; }
 
     /** Most MSHR slots ever occupied at once over this hierarchy's
-     *  lifetime (occupancy gauge; not cleared by reset()). */
+     *  lifetime (occupancy gauge). */
     unsigned inflightHighWater() const { return inflightHighWater_; }
 
     /** Attach (or detach, with nullptr) a walk-event trace sink. */

@@ -72,35 +72,6 @@ TEST(Cache, ProbeDoesNotPerturbLru)
     EXPECT_TRUE(cache.probe(b));
 }
 
-TEST(Cache, Invalidate)
-{
-    Cache cache(smallCache());
-    cache.insert(0x2000);
-    cache.invalidate(0x2000);
-    EXPECT_FALSE(cache.probe(0x2000));
-    cache.invalidate(0x3000);   // absent: no-op
-}
-
-TEST(Cache, InvalidateDoesNotShadowLaterWays)
-{
-    // Invalidating one line must not leave a hole that makes a still-
-    // resident line in a later way invisible to the insert-path scan
-    // (which stops at the first invalid way).
-    Cache cache(smallCache(1024, 2));
-    const PhysAddr a = 0 << 6, b = 8 << 6;
-    cache.insert(a);        // way 0
-    cache.insert(b);        // way 1
-    cache.invalidate(a);
-    // The fused access path stops its scan at the first invalid way;
-    // invalidate() must have compacted the set so b is still found.
-    EXPECT_TRUE(cache.accessAndFill(b));
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.misses(), 0u);
-    cache.insert(a);        // must land in the freed slot
-    EXPECT_TRUE(cache.probe(a));
-    EXPECT_TRUE(cache.probe(b));
-}
-
 TEST(Cache, InsertExistingRefreshes)
 {
     Cache cache(smallCache(1024, 2));
@@ -111,15 +82,6 @@ TEST(Cache, InsertExistingRefreshes)
     cache.insert(c);        // evicts b
     EXPECT_TRUE(cache.probe(a));
     EXPECT_FALSE(cache.probe(b));
-}
-
-TEST(Cache, Reset)
-{
-    Cache cache(smallCache());
-    cache.insert(0x1000);
-    cache.reset();
-    EXPECT_FALSE(cache.probe(0x1000));
-    EXPECT_EQ(cache.hits(), 0u);
 }
 
 TEST(Cache, NonPow2LinesOkWithPow2Sets)
@@ -315,18 +277,6 @@ TEST(Hierarchy, AccessPlainIgnoresInflightPrefetches)
     const AccessResult res = mem.accessPlain(0x200000);
     EXPECT_EQ(res.servedBy, MemLevel::L1D);
     EXPECT_EQ(mem.prefetchMerges(), 0u);
-}
-
-TEST(Hierarchy, ResetClearsEverything)
-{
-    MemoryHierarchy mem;
-    mem.access(0x100000, 0);
-    mem.prefetch(0x200000, 0);
-    mem.reset();
-    EXPECT_FALSE(mem.l1d().probe(0x100000));
-    EXPECT_EQ(mem.prefetchesIssued(), 0u);
-    const AccessResult res = mem.access(0x200000, 10);
-    EXPECT_EQ(res.servedBy, MemLevel::Dram);
 }
 
 TEST(Hierarchy, PaperLatencies)
