@@ -133,19 +133,19 @@ BM_SetAssocLlcScan(benchmark::State &state)
     Rng rng(5);
     for (std::uint64_t i = 0; i < 200'000; ++i) {
         const std::uint64_t tag = rng.below(1u << 20);
-        const auto slot = array.findOrVictim(array.setOf(tag),
-                                             SetAssoc<>::keyFor(tag));
+        const std::uint64_t set = array.setOf(tag);
+        const auto slot = array.findOrVictim(set, SetAssoc<>::keyFor(tag));
         if (!slot.matched)
             *slot.way.key = SetAssoc<>::keyFor(tag);
-        array.touch(slot.way);
+        array.touch(set, slot.way);
     }
     for (auto _ : state) {
         const std::uint64_t tag = rng.below(1u << 20);
-        const auto slot = array.findOrVictim(array.setOf(tag),
-                                             SetAssoc<>::keyFor(tag));
+        const std::uint64_t set = array.setOf(tag);
+        const auto slot = array.findOrVictim(set, SetAssoc<>::keyFor(tag));
         if (!slot.matched)
             *slot.way.key = SetAssoc<>::keyFor(tag);
-        array.touch(slot.way);
+        array.touch(set, slot.way);
         benchmark::DoNotOptimize(slot.matched);
     }
 }

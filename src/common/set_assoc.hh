@@ -4,43 +4,64 @@
  * simulator: caches, TLBs, the clustered TLB and the page walk caches.
  *
  * Before this template existed, each of those structures carried its own
- * copy of the same three loops (tag probe, LRU victim scan, flush); they
- * have been unified here so the hot loops are written — and optimized —
- * once. Each way stores a 64-bit search key, a compact 32-bit recency
- * tick and the client payload *together*: these scans dominate the
- * simulator's wall-clock time and are bound by host memory traffic on
- * the big arrays (the paper-LLC array alone is megabytes), so a probe
- * must fetch one contiguous run of cache lines that the subsequent
- * victim scan and recency update then hit for free. Four measured
- * dead ends are documented here so they are not retried: a global
- * key/tick/payload (SoA) split pays a second dependent random fetch on
- * every victim scan (20-35% slower end-to-end); a per-*set* blocked
- * [keys][ticks][payloads] layout still splits the hit path's key read
- * and tick write across lines (≈25% slower); AVX2 key scans lose
- * to the scalar loop because they cannot early-exit (hit-early and
- * half-empty sets terminate the scalar scan after a way or two); and a
- * software-pipelined lookahead in the access loop, which
- * `__builtin_prefetch`ed the sets access i+16 would scan (a PL2 PWC
- * peek, the leaf PTE line, the data's LLC set, and a run-ahead copy of
- * the co-runner RNG), cost more than it hid. With it off, simbench's
- * 20-s runs on a 4-vCPU host simulated 10.8% faster on native_asap
- * (6 of 6 interleaved pairs), 3.9% on virt_coloc and 6.5% on
- * fig8_sweep, so it was deleted.
+ * copy of the same three loops (tag probe, LRU victim choice, flush);
+ * they have been unified here so the hot loops are written — and
+ * optimized — once. Each way stores a 64-bit search key and the client
+ * payload *together*, and each set keeps its ways in recency order, most
+ * recently used first: these scans dominate the simulator's wall-clock
+ * time and are bound by host memory traffic on the big arrays, so a
+ * probe must fetch one contiguous run of cache lines that the recency
+ * update then hits for free. The payload is [[no_unique_address]], so a
+ * cache way is its 8-byte key (the paper LLC's array is 2.5 MiB and a
+ * 20-way set 2.5 host cache lines); a TLB way is 16 bytes, a PWC way 24
+ * and a clustered-TLB way 32.
  *
- * An invalid way is all-zero: key 0 (real keys are biased by +1 when
- * stored, see keyFor — no address-derived key collides), tick 0,
- * unspecified payload. A freshly zeroed array therefore *is* the
- * flushed state, which keeps construction and flush at zero-page speed
- * instead of writing sentinel patterns over megabytes. The tick counter
- * is renormalized on the (practically unreachable) 32-bit wrap,
- * preserving LRU order for arbitrarily long runs.
+ * Recency order replaced a 32-bit tick per way, stamped on every touch
+ * and scanned for the oldest value on every miss of a full set (a
+ * branchless scan that kept the LRU index in registers). With no tick a
+ * cache way halves (16 to 8 bytes), a miss needs no victim scan, and a
+ * hit on the MRU way is one compare that writes nothing; every hit,
+ * miss and victim is unchanged. One traced simbench run per side at
+ * seed 1 (10 s, 4-vCPU host) read, tick → recency order, on virt_coloc:
+ * co-runner 130 → 79 ns, TLB hit 49 → 32 ns, data access 36 → 21 ns
+ * per access, and Machine build 2.10 → 0.95 ms (half the array pages
+ * to populate).
+ *
+ * Measured dead ends, not to be retried (the first four measured with
+ * per-way ticks): a global key/tick/payload (SoA) split pays a second
+ * dependent random fetch on every victim scan (20-35% slower
+ * end-to-end); a per-*set* blocked [keys][ticks][payloads] layout still
+ * splits the hit path's key read and tick write across lines (≈25%
+ * slower); AVX2 key scans lose to the scalar loop because they cannot
+ * early-exit (hit-early and half-empty sets terminate the scalar scan
+ * after a way or two); and a software-pipelined lookahead in the access
+ * loop, which `__builtin_prefetch`ed the sets access i+16 would scan (a
+ * PL2 PWC peek, the leaf PTE line, the data's LLC set, and a run-ahead
+ * copy of the co-runner RNG), cost more than it hid. With it off,
+ * simbench's 20-s runs on a 4-vCPU host simulated 10.8% faster on
+ * native_asap (6 of 6 interleaved pairs), 3.9% on virt_coloc and 6.5%
+ * on fig8_sweep, so it was deleted.
+ *
+ * Measured follow-up, blocked: 32-bit cache keys (the tag above the
+ * set-index bits), on top of recency order, measured a further 1.125x
+ * sim_rate on virt_coloc and 1.05x on native_asap in a prototype (6 of
+ * 6 interleaved pairs each). But mc::MultiCoreSimulator::lineBiasOf
+ * adds tenant << 40 to every line address, so an L1 key (the address
+ * above bit 12) reaches 2^32 from tenant 16 on. The bias has to be
+ * redesigned before keys can shrink.
+ *
+ * An invalid way has key 0 (real keys are biased by +1 when stored, see
+ * keyFor — no address-derived key collides) and an unspecified payload.
+ * A freshly zeroed array therefore *is* the flushed state, which keeps
+ * construction and flush at zero-page speed instead of writing sentinel
+ * patterns over megabytes.
  *
  * Every array is its own pre-faulted zero-page mapping (a populated
  * ZeroPageArray), so its page faults are taken while the Machine is
  * built. Mapped lazily, an array takes a read fault and then a write
  * fault per page inside the measured simulation, as it first reaches
  * each set: about 2,580 minor faults in a native_asap-shaped run with
- * the 5 MiB LLC, against 1,280 up front. Heap calloc returns an
+ * the (then 5 MiB) LLC, against 1,280 up front. Heap calloc returns an
  * already-faulted chunk only when glibc happens to recycle one. On a
  * 4-vCPU host, 10 rounds of interleaved 20-s simbench runs (medians)
  * put this one path level with a split that calloc'ed the arrays under
@@ -52,31 +73,34 @@
  * gain. The same run-time faults rule out reserving a page table's slab
  * to a range's size (pt/page_table.hh).
  *
- * Replacement policy — the combined scan every structure always used:
+ * Replacement policy — true LRU, read off the recency order:
  *   1. a way whose key matches (plus an optional payload predicate for
  *      clients whose match is wider than the key) wins — refresh/merge;
- *   2. otherwise the first invalid way in scan order is the victim
- *      (valid ways always form a prefix of the set: fills take the
- *      first hole and invalidateWhere compacts, so the scan's early
- *      exit at an invalid way can never shadow a later match);
- *   3. otherwise the least-recently-used way, first-lowest on ties.
+ *   2. otherwise the first invalid way is the victim (valid ways always
+ *      form a prefix of the set: fills take the first hole and
+ *      invalidateWhere compacts stably, so a scan that stops at an
+ *      invalid way can never shadow a later match);
+ *   3. otherwise the last way, the least recently used one.
+ * touch() then moves the way to the front. Only the ways' order carries
+ * recency, so the slot an invalid way's victim takes is never observed,
+ * and no clock can wrap: the order stays exact LRU however long a
+ * structure runs (ticks were renormalized on their 32-bit wrap, which
+ * collapsed old entries to a tie after 2^32 touches of one structure).
  */
 
 #ifndef ASAP_COMMON_SET_ASSOC_HH
 #define ASAP_COMMON_SET_ASSOC_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <limits>
+#include <type_traits>
 
 #include "common/types.hh"
 #include "common/zero_pages.hh"
 
 namespace asap
 {
-
-/** Compact recency timestamp (see file comment). */
-using Tick = std::uint32_t;
 
 /** Payload type for tag-only clients (plain caches). */
 struct NoPayload
@@ -87,11 +111,11 @@ template <typename Payload = NoPayload>
 class SetAssoc
 {
   public:
-    /** A located way: key/tick/payload views into one stored way. */
+    /** A located way: key/payload views into one stored way. touch()
+     *  moves ways, so a Ref is stale once its set has been touched. */
     struct Ref
     {
         std::uint64_t *key = nullptr;
-        Tick *tick = nullptr;
         Payload *payload = nullptr;
 
         explicit operator bool() const { return key != nullptr; }
@@ -133,7 +157,6 @@ class SetAssoc
         // zeroing costs more than the host TLB misses it saves at these
         // array sizes.)
         store_ = ZeroPageArray<Way>(sets * ways, /*populate=*/true);
-        tick_ = 0;
     }
 
     SetAssoc(const SetAssoc &) = delete;
@@ -150,12 +173,7 @@ class SetAssoc
     Ref
     find(std::uint64_t set, std::uint64_t key)
     {
-        Way *base = setBase(set);
-        for (unsigned w = 0; w < ways_; ++w) {
-            if (base[w].key == key)
-                return refOf(base[w]);
-        }
-        return {};
+        return findWhere(set, key, [](const Payload &) { return true; });
     }
 
     /** Const probe (non-perturbing paths like Cache::probe). */
@@ -166,13 +184,14 @@ class SetAssoc
     }
 
     /** Probe for @p key where the payload also satisfies @p pred (for
-     *  clients whose match predicate is wider than the key). */
+     *  clients whose match predicate is wider than the key). The scan
+     *  stops at the first invalid way: valid ways form a prefix. */
     template <typename Pred>
     Ref
     findWhere(std::uint64_t set, std::uint64_t key, Pred pred)
     {
         Way *base = setBase(set);
-        for (unsigned w = 0; w < ways_; ++w) {
+        for (unsigned w = 0; w < ways_ && base[w].key != 0; ++w) {
             if (base[w].key == key && pred(base[w].payload))
                 return refOf(base[w]);
         }
@@ -213,35 +232,36 @@ class SetAssoc
     findOrVictimWhere(std::uint64_t set, std::uint64_t key, Pred pred)
     {
         Way *base = setBase(set);
-        // LRU tracking stays in registers (index + tick) so the scan
-        // compiles to conditional moves: the tick comparison's outcome
-        // is data-random, and a branch there mispredicts roughly every
-        // other miss scan of a full set (the common case for the big
-        // cache arrays).
-        unsigned victim = 0;
-        Tick victimTick = base[0].tick;
         for (unsigned w = 0; w < ways_; ++w) {
             Way &way = base[w];
             if (way.key == key && pred(way.payload))
                 return {refOf(way), true};
-            if (way.key == 0) {
-                victim = w;     // first invalid way wins outright
-                break;
-            }
-            const bool older = way.tick < victimTick;
-            victimTick = older ? way.tick : victimTick;
-            victim = older ? w : victim;
+            if (way.key == 0)
+                return {refOf(way), false};
         }
-        return {refOf(base[victim]), false};
+        return {refOf(base[ways_ - 1]), false};
     }
 
-    /** Stamp a way as most recently used. */
-    void
-    touch(const Ref &ref)
+    /**
+     * Make @p ref's way the most recently used of @p set: it moves to
+     * the front and the ways before it shift back by one, in one
+     * memmove. A way already in front is left alone, so a hit on the
+     * MRU way writes nothing. @return the way's new location.
+     */
+    Ref
+    touch(std::uint64_t set, const Ref &ref)
     {
-        if (tick_ == std::numeric_limits<Tick>::max())
-            renormalizeTicks();
-        *ref.tick = ++tick_;
+        Way *base = setBase(set);
+        // The key is Way's first member (standard layout), so the two
+        // pointers are interconvertible.
+        Way *way = reinterpret_cast<Way *>(ref.key);
+        if (way != base) {
+            const Way moved = *way;
+            std::memmove(static_cast<void *>(base + 1), base,
+                         static_cast<std::size_t>(way - base) * sizeof(Way));
+            *base = moved;
+        }
+        return refOf(*base);
     }
 
     /**
@@ -251,9 +271,8 @@ class SetAssoc
      * (munmap, madvise), never on the per-access hot path.
      *
      * @p pred is invoked exactly once per valid way (clients may update
-     * side counts inside it); the set's last valid way is moved into
-     * each hole, so valid ways stay a prefix and surviving ticks —
-     * hence all LRU decisions — are untouched.
+     * side counts inside it). Each set is compacted stably: survivors
+     * keep their recency order and valid ways stay a prefix.
      * @return the number of ways dropped.
      */
     template <typename Pred>
@@ -265,48 +284,48 @@ class SetAssoc
         std::uint64_t dropped = 0;
         for (std::uint64_t set = 0; set < sets_; ++set) {
             Way *base = setBase(set);
-            unsigned valid = ways_;
-            while (valid > 0 && base[valid - 1].key == 0)
-                --valid;
-            for (unsigned w = 0; w < valid;) {
-                if (pred(base[w].key, base[w].payload)) {
-                    if (w != valid - 1)
-                        base[w] = base[valid - 1];
-                    base[valid - 1].key = 0;
-                    base[valid - 1].tick = 0;
-                    --valid;
-                    ++dropped;
-                    // Re-test slot w: it now holds the not-yet-visited
-                    // way moved down from the tail.
-                } else {
-                    ++w;
-                }
+            unsigned kept = 0;
+            unsigned w = 0;
+            for (; w < ways_ && base[w].key != 0; ++w) {
+                if (pred(base[w].key, base[w].payload))
+                    continue;
+                if (kept != w)
+                    base[kept] = base[w];
+                ++kept;
             }
+            dropped += w - kept;
+            for (; kept < w; ++kept)
+                base[kept].key = 0;
         }
         return dropped;
     }
 
-    /** Invalidate everything and restart the recency clock. No-op on a
-     *  never-initialized array (e.g. geometry-disabled PWC levels). */
+    /** Invalidate everything. No-op on a never-initialized array (e.g.
+     *  geometry-disabled PWC levels). */
     void
     flush()
     {
         if (empty())
             return;
-        // Through void*: Way is not trivially copyable, but all-zero
-        // bytes are exactly its invalid state.
+        // Through void*: Way need not be trivially constructible, but
+        // all-zero bytes are exactly its invalid state.
         std::memset(static_cast<void *>(setBase(0)), 0,
                     store_.size() * sizeof(Way));
-        tick_ = 0;
     }
 
   private:
     struct Way
     {
         std::uint64_t key;
-        Tick tick;
-        Payload payload;
+        /** Takes no bytes when empty (NoPayload): a cache way is its
+         *  8-byte key. */
+        [[no_unique_address]] Payload payload;
     };
+    static_assert(std::is_standard_layout_v<Way>,
+                  "touch() converts a key pointer to its Way");
+    static_assert(!std::is_empty_v<Payload> ||
+                      sizeof(Way) == sizeof(std::uint64_t),
+                  "a tag-only way is its key");
 
     /** First way of @p set; the index is checked unless NDEBUG. */
     Way *
@@ -318,30 +337,13 @@ class SetAssoc
     Ref
     refOf(Way &way) const
     {
-        return {&way.key, &way.tick, &way.payload};
-    }
-
-    /**
-     * Halve the recency clock, preserving LRU order. Entries older than
-     * half the clock collapse to zero — after 2^32 operations on one
-     * structure they are ancient history in any replacement sense.
-     */
-    void
-    renormalizeTicks()
-    {
-        const Tick half = tick_ / 2;
-        for (std::size_t i = 0; i < store_.size(); ++i) {
-            Way &way = store_[i];
-            way.tick = way.tick > half ? way.tick - half : 0;
-        }
-        tick_ -= half;
+        return {&way.key, &way.payload};
     }
 
     std::uint64_t sets_ = 0;
     unsigned ways_ = 0;
     std::uint64_t setMask_ = 0;
     ZeroPageArray<Way> store_;
-    Tick tick_ = 0;
 };
 
 } // namespace asap

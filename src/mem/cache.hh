@@ -8,11 +8,11 @@
  * cache therefore tracks only tags, not data, and charges a fixed hit
  * latency configured per level (Table 5).
  *
- * The cache is tag-only state in a SetAssoc with no payload (a 20-way
- * LLC set is 160 bytes of keys plus 80 bytes of ticks), and every
- * operation is header-inline: these scans are the single hottest loops
- * of the whole simulator (every data access, co-runner access, walk
- * step and prefetch ends up here).
+ * The cache is tag-only state in a SetAssoc with no payload (a way is
+ * its 8-byte key, so a 20-way LLC set is 160 bytes of keys in recency
+ * order), and every operation is header-inline: these scans are the
+ * single hottest loops of the whole simulator (every data access,
+ * co-runner access, walk step and prefetch ends up here).
  */
 
 #ifndef ASAP_MEM_CACHE_HH
@@ -56,10 +56,10 @@ class Cache
     access(PhysAddr paddr)
     {
         const std::uint64_t tag = tagOf(paddr);
-        const auto way =
-            ways_.find(ways_.setOf(tag), SetAssoc<>::keyFor(tag));
+        const std::uint64_t set = ways_.setOf(tag);
+        const auto way = ways_.find(set, SetAssoc<>::keyFor(tag));
         if (way) {
-            ways_.touch(way);
+            ways_.touch(set, way);
             ++hits_;
             return true;
         }
@@ -70,7 +70,7 @@ class Cache
     /**
      * access() + insert() in one set scan: on a miss the line is
      * installed in exactly the way insert() would have chosen (first
-     * invalid way, else LRU). The fill-on-miss cascade of the hierarchy
+     * invalid way, else the LRU way). The fill-on-miss cascade of the hierarchy
      * always inserts after a miss, so fusing the two scans halves the
      * work of every miss without changing any replacement decision.
      * @return true on hit.
@@ -79,16 +79,16 @@ class Cache
     accessAndFill(PhysAddr paddr)
     {
         const std::uint64_t tag = tagOf(paddr);
-        const auto slot =
-            ways_.findOrVictim(ways_.setOf(tag), SetAssoc<>::keyFor(tag));
+        const std::uint64_t set = ways_.setOf(tag);
+        const auto slot = ways_.findOrVictim(set, SetAssoc<>::keyFor(tag));
         if (slot.matched) {
-            ways_.touch(slot.way);
+            ways_.touch(set, slot.way);
             ++hits_;
             return true;
         }
         ++misses_;
         *slot.way.key = SetAssoc<>::keyFor(tag);
-        ways_.touch(slot.way);
+        ways_.touch(set, slot.way);
         return false;
     }
 
@@ -106,11 +106,11 @@ class Cache
     insert(PhysAddr paddr)
     {
         const std::uint64_t tag = tagOf(paddr);
-        const auto slot =
-            ways_.findOrVictim(ways_.setOf(tag), SetAssoc<>::keyFor(tag));
+        const std::uint64_t set = ways_.setOf(tag);
+        const auto slot = ways_.findOrVictim(set, SetAssoc<>::keyFor(tag));
         if (!slot.matched)
             *slot.way.key = SetAssoc<>::keyFor(tag);
-        ways_.touch(slot.way);
+        ways_.touch(set, slot.way);
     }
 
     const CacheConfig &config() const { return config_; }

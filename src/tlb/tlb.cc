@@ -117,8 +117,9 @@ ClusteredTlb::fill(VirtAddr va, const Translation &translation,
     // two entries; replacing by tag alone would make the halves evict
     // each other on every miss. Merge only an exact (tag, physical
     // cluster) match; otherwise pick a normal LRU victim.
+    const std::uint64_t set = entries_.setOf(tag);
     const auto slot = entries_.findOrVictimWhere(
-        entries_.setOf(tag), SetAssoc<Payload>::keyFor(tag),
+        set, SetAssoc<Payload>::keyFor(tag),
         [ppnCluster](const Payload &p) {
             return p.ppnClusterBase == ppnCluster;
         });
@@ -127,7 +128,7 @@ ClusteredTlb::fill(VirtAddr va, const Translation &translation,
     slot.way.payload->validMask = validMask;
     for (unsigned sub = 0; sub < clusterPages; ++sub)
         slot.way.payload->offsets[sub] = offsets[sub];
-    entries_.touch(slot.way);
+    entries_.touch(set, slot.way);
 }
 
 void

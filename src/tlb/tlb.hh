@@ -71,16 +71,17 @@ class Tlb
             if (residentPerLevel_[level] == 0)
                 continue;
             const std::uint64_t tag = tagOf(va, level);
-            const auto way =
-                entries_.find(entries_.setOf(tag), keyOf(tag, level));
+            const std::uint64_t set = entries_.setOf(tag);
+            const auto way = entries_.find(set, keyOf(tag, level));
             if (way) {
-                entries_.touch(way);
-                ++hits_;
+                // Read before touch(), which moves the way.
                 out.pfn = way.payload->pfn;
                 out.leafLevel = level;
                 // TLBs cache translations, not PTE locations (real
                 // hardware has no such field either).
                 out.pteAddr = 0;
+                entries_.touch(set, way);
+                ++hits_;
                 return true;
             }
         }
@@ -102,8 +103,8 @@ class Tlb
         panic_if(asidKey_ != 0 && (tag >> (asidShift - 2)) != 0,
                  "%s: VA %#lx tag collides with ASID bits",
                  config_.name, va);
-        const auto slot =
-            entries_.findOrVictim(entries_.setOf(tag), keyOf(tag, level));
+        const std::uint64_t set = entries_.setOf(tag);
+        const auto slot = entries_.findOrVictim(set, keyOf(tag, level));
         if (!slot.matched) {
             if (slot.way.valid())
                 --residentPerLevel_[*slot.way.key & 3];
@@ -111,7 +112,7 @@ class Tlb
             *slot.way.key = keyOf(tag, level);
         }
         slot.way.payload->pfn = translation.pfn;
-        entries_.touch(slot.way);
+        entries_.touch(set, slot.way);
     }
 
     /** Drop everything (context switch / scenario reset). */
@@ -164,8 +165,8 @@ class Tlb
     std::uint64_t validEntries() const { return entries_.validCount(); }
 
   private:
-    /** Per-way state beyond the search key: just the frame (24-byte
-     *  ways keep an STLB set at 2.25 host cache lines). */
+    /** Per-way state beyond the search key: just the frame (16-byte
+     *  ways keep a 6-way STLB set at 1.5 host cache lines). */
     struct Payload
     {
         Pfn pfn;
@@ -236,18 +237,19 @@ class ClusteredTlb
         const std::uint64_t tag = vpn >> clusterShift;
         const unsigned sub =
             static_cast<unsigned>(vpn & (clusterPages - 1));
+        const std::uint64_t set = entries_.setOf(tag);
         const auto way = entries_.findWhere(
-            entries_.setOf(tag), SetAssoc<Payload>::keyFor(tag),
-            [sub](const Payload &p) {
+            set, SetAssoc<Payload>::keyFor(tag), [sub](const Payload &p) {
                 return (p.validMask & (1u << sub)) != 0;
             });
         if (way) {
-            entries_.touch(way);
-            ++hits_;
+            // Read before touch(), which moves the way.
             out.leafLevel = 1;
             out.pfn = (way.payload->ppnClusterBase << clusterShift) |
                       way.payload->offsets[sub];
             out.pteAddr = 0;
+            entries_.touch(set, way);
+            ++hits_;
             return true;
         }
         ++misses_;

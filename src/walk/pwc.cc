@@ -34,13 +34,15 @@ PageWalkCaches::lookupDeepest(VirtAddr va)
         if (cache.empty())
             continue;
         const std::uint64_t tag = tagOf(va, level);
-        const auto way = cache.find(cache.setOf(tag),
-                                    SetAssoc<Payload>::keyFor(tag));
+        const std::uint64_t set = cache.setOf(tag);
+        const auto way = cache.find(set, SetAssoc<Payload>::keyFor(tag));
         if (way) {
-            cache.touch(way);
+            // Read before touch(), which moves the way.
+            const Hit hit{level, way.payload->childPfn,
+                          way.payload->childIndex};
+            cache.touch(set, way);
             ++hits_;
-            return {level, way.payload->childPfn,
-                    way.payload->childIndex};
+            return hit;
         }
     }
     return {};
@@ -56,12 +58,12 @@ PageWalkCaches::insert(unsigned level, VirtAddr va, Pfn childPfn,
     if (cache.empty())
         return;
     const std::uint64_t tag = tagOf(va, level);
-    const auto slot = cache.findOrVictim(cache.setOf(tag),
-                                         SetAssoc<Payload>::keyFor(tag));
+    const std::uint64_t set = cache.setOf(tag);
+    const auto slot = cache.findOrVictim(set, SetAssoc<Payload>::keyFor(tag));
     *slot.way.key = SetAssoc<Payload>::keyFor(tag);
     slot.way.payload->childPfn = childPfn;
     slot.way.payload->childIndex = childIndex;
-    cache.touch(slot.way);
+    cache.touch(set, slot.way);
 }
 
 std::uint64_t
