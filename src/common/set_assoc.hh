@@ -16,16 +16,20 @@
  * 20-way set 2.5 host cache lines); a TLB way is 16 bytes, a PWC way 24
  * and a clustered-TLB way 32.
  *
- * Recency order replaced a 32-bit tick per way, stamped on every touch
- * and scanned for the oldest value on every miss of a full set (a
- * branchless scan that kept the LRU index in registers). With no tick a
- * cache way halves (16 to 8 bytes), a miss needs no victim scan, and a
- * hit on the MRU way is one compare that writes nothing; every hit,
- * miss and victim is unchanged. One traced simbench run per side at
- * seed 1 (10 s, 4-vCPU host) read, tick → recency order, on virt_coloc:
- * co-runner 130 → 79 ns, TLB hit 49 → 32 ns, data access 36 → 21 ns
- * per access, and Machine build 2.10 → 0.95 ms (half the array pages
- * to populate).
+ * Why recency order and not an LRU tick per way: a 32-bit tick made a
+ * cache way 16 bytes and cost every miss of a full set a scan of all
+ * ways for the oldest tick. In recency order a cache way is 8 bytes, a
+ * miss needs no victim scan, and a hit on the MRU way is one compare
+ * that writes nothing; every hit, miss and victim is the same. On a
+ * 4-vCPU host, 10 interleaved 20-s simbench pairs at seed 2 (medians,
+ * tick → recency order) read 2.25 → 3.25 Macc/s on virt_coloc (1.44x,
+ * ahead in 10 of 10; 1.51x in 5 of 5 at seed 7); 4 pairs read 1.25x on
+ * native_asap and 1.18x on tenant_churn, and two batches of 4 and 6
+ * read 1.12x and 1.13x on the noisier fig8_sweep (ahead in 6 of 10).
+ * A traced virt_coloc run at seed 1 put the saving in the co-runner
+ * (130 → 79 ns per access), TLB hits (49 → 32 ns) and data accesses
+ * (36 → 21 ns); building a Machine took 2.10 → 0.95 ms (half the array
+ * pages to populate).
  *
  * Measured dead ends, not to be retried (the first four measured with
  * per-way ticks): a global key/tick/payload (SoA) split pays a second
@@ -82,10 +86,9 @@
  *      invalid way can never shadow a later match);
  *   3. otherwise the last way, the least recently used one.
  * touch() then moves the way to the front. Only the ways' order carries
- * recency, so the slot an invalid way's victim takes is never observed,
- * and no clock can wrap: the order stays exact LRU however long a
- * structure runs (ticks were renormalized on their 32-bit wrap, which
- * collapsed old entries to a tie after 2^32 touches of one structure).
+ * recency, so which invalid slot a fill takes is never observed, and no
+ * clock can wrap: the order stays exact LRU however long a structure
+ * runs.
  */
 
 #ifndef ASAP_COMMON_SET_ASSOC_HH
