@@ -2,9 +2,12 @@
 # Pin the sweep artifacts: run every figure, table and ablation binary
 # in quick mode at ASAP_JOBS=1 and at ASAP_JOBS=4, and require that the
 # two runs leave byte-identical result files (journals included) and
-# stdout. Then rerun every binary with ASAP_RESUME=1 over a copy of the
-# ASAP_JOBS=4 results: each sweep must restore every cell from its
-# journal, recompute none, and again leave the same files and stdout.
+# stdout. The ASAP_JOBS=4 run arms a cell deadline (ASAP_CELL_TIMEOUT)
+# that no quick-mode cell reaches, so an armed deadline must change no
+# byte either. Then rerun every binary with ASAP_RESUME=1 over a copy
+# of the ASAP_JOBS=4 results: each sweep must restore every cell from
+# its journal, recompute none, and again leave the same files and
+# stdout.
 # With REF_DIR (the OUT_DIR of another build, e.g. the parent
 # commit's), both fresh runs must also match that reference byte for
 # byte.
@@ -43,10 +46,11 @@ done
 
 status=0
 
-# run_all DIR JOBS [RESUME]: run every binary into DIR at ASAP_JOBS=JOBS,
-# with ASAP_RESUME=1 when RESUME is set.
+# run_all DIR JOBS [VAR=VALUE...]: run every binary into DIR at
+# ASAP_JOBS=JOBS, with the given variables added to its environment.
 run_all() {
-    local dir=$1 jobs=$2 resume=${3:-}
+    local dir=$1 jobs=$2
+    shift 2
     mkdir -p "$dir/results" "$dir/stdout" "$dir/stderr"
     for name in "${benches[@]}"; do
         args=()
@@ -57,12 +61,12 @@ run_all() {
         # changes what a sweep runs.
         if ! env -u ASAP_PROFILE -u ASAP_TIMELINE -u ASAP_FAULT \
             -u ASAP_RESUME -u ASAP_CELL_TIMEOUT -u ASAP_CELL_RETRIES \
-            -u ASAP_RETRY_BASE_MS ${resume:+ASAP_RESUME=1} \
+            -u ASAP_RETRY_BASE_MS "$@" \
             ASAP_QUICK=1 ASAP_JOBS=$jobs ASAP_RESULTS_DIR="$dir/results" \
             "$build/$name" "${args[@]}" \
             > "$dir/stdout/$name.txt" 2> "$dir/stderr/$name.txt"; then
             echo "FAIL: $name exited non-zero at ASAP_JOBS=$jobs" \
-                "${resume:+(resume) }(see $dir/stderr/$name.txt)" >&2
+                "${*:+with $* }(see $dir/stderr/$name.txt)" >&2
             status=1
         fi
     done
@@ -70,10 +74,10 @@ run_all() {
 
 rm -rf "$out"
 run_all "$out/jobs1" 1
-run_all "$out/jobs4" 4
+run_all "$out/jobs4" 4 ASAP_CELL_TIMEOUT=3600
 mkdir -p "$out/resume"
 cp -r "$out/jobs4/results" "$out/resume/results"
-run_all "$out/resume" 4 resume
+run_all "$out/resume" 4 ASAP_RESUME=1
 
 if grep -E '\[[0-9]+/[0-9]+\] .* done$' "$out/resume/stderr/"*.txt >&2; then
     echo "FAIL: the resume run recomputed the sweep groups above" >&2
@@ -100,7 +104,7 @@ fi
 files=$(find "$out/jobs1/results" -type f | wc -l)
 if [[ $status -eq 0 ]]; then
     echo "OK: ${#benches[@]} binaries, $files result files per run," \
-        "identical at ASAP_JOBS=1 and 4, resumed with no cell" \
-        "recomputed${ref:+, and to $ref}"
+        "identical at ASAP_JOBS=1 and 4 (deadline armed), resumed" \
+        "with no cell recomputed${ref:+, and to $ref}"
 fi
 exit $status
