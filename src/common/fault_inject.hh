@@ -8,14 +8,12 @@
  *
  * Each *site* is a short string naming a probe compiled into the code
  * ("file-open", "file-read", "decompress", "env-alloc", "cell",
- * "cell-hang", "attempt-thread", "timeline-write"). Every time
- * execution passes a probe
- * the site's hit
- * counter increments; a rule `site:nth` makes the probe fail on its
- * nth hit (1-based), and `site:nth:count` fails `count` consecutive
- * hits starting at the nth. So `cell:1:2` fails the first two
- * executions of the "cell" probe and lets the third through — exactly
- * the shape a retry-then-succeed test needs.
+ * "cell-hang", "timeline-write"). Every time execution passes a probe
+ * the site's hit counter increments; a rule `site:nth` makes the probe
+ * fail on its nth hit (1-based), and `site:nth:count` fails `count`
+ * consecutive hits starting at the nth. So `cell:1:2` fails the first
+ * two executions of the "cell" probe and lets the third through —
+ * exactly the shape a retry-then-succeed test needs.
  *
  * Determinism: counters are plain per-site tallies, no randomness and
  * no clocks, so a given ASAP_FAULT spec fails the same operations on

@@ -6,13 +6,13 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <system_error>
 #include <thread>
 
+#include "common/deadline.hh"
 #include "common/fault_inject.hh"
 #include "common/logging.hh"
 #include "exp/journal.hh"
@@ -541,112 +541,63 @@ writeCellTimeline(const std::string &sweep, const Cell &cell,
     }
 }
 
-/** What one execution attempt of a cell produces. A timed attempt's
- *  thread shares it with the runner, so an abandoned attempt keeps it
- *  alive and never writes into anything the runner still uses. */
+/** What one execution attempt of a cell produces. */
 struct Attempt
 {
     CellResult result;
     /** The cell's epoch timeline (ASAP_TIMELINE only); the runner
      *  writes it once the attempt has succeeded. */
     std::unique_ptr<obs::Timeline> timeline;
-    /** Set by the runner when it abandons the attempt. */
-    std::atomic<bool> cancelled{false};
 };
 
 /**
- * One guarded execution attempt for one cell. Everything it touches is
- * owned through shared_ptr (a private copy of the Cell, the Attempt,
- * the group's environment slot), so a timed-out attempt cannot race
- * the runner. Returns OK with @p attempt filled, or the failure
- * (StatusError payloads, bad_alloc as RESOURCE_EXHAUSTED, anything
- * else as INTERNAL — see runToStatus).
+ * One guarded execution attempt of @p cell on the calling worker, on
+ * the group's Environment @p env (built here when empty). With a
+ * nonzero @p timeoutSec the attempt runs under a deadline that
+ * AccessStream::advance checks once per access batch. Returns OK with
+ * @p attempt filled, or the failure (StatusError payloads, an expired
+ * deadline's DEADLINE_EXCEEDED among them, bad_alloc as
+ * RESOURCE_EXHAUSTED, anything else as INTERNAL — see runToStatus).
  */
 Status
-runCellAttempt(const std::shared_ptr<const Cell> &cell, std::uint64_t seed,
-               const std::shared_ptr<std::shared_ptr<Environment>> &envSlot,
-               const std::shared_ptr<Attempt> &attempt)
+runCellAttempt(const Cell &cell, std::uint64_t seed, unsigned timeoutSec,
+               std::unique_ptr<Environment> &env, Attempt &attempt)
 {
+    const ScopedDeadline deadline(
+        std::chrono::seconds(timeoutSec),
+        Status::deadlineExceeded(
+            strprintf("cell exceeded ASAP_CELL_TIMEOUT=%us", timeoutSec)));
     return runToStatus([&] {
         fault::maybeFail("cell");
         if (fault::shouldFail("cell-hang")) {
-            // Deterministic "stuck cell": bounded so an un-timed-out
-            // run still terminates, cooperative so a timed-out zombie
-            // exits as soon as the runner abandons it.
-            for (unsigned i = 0; i < 600 && !attempt->cancelled.load();
-                 ++i)
+            // Deterministic "stuck cell": bounded so an untimed run
+            // still terminates, and it checks the deadline the way a
+            // simulation batch does.
+            for (unsigned i = 0; i < 600; ++i) {
+                checkDeadline();
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(100));
+            }
         }
-        // An abandoned attempt stops before it builds anything.
-        if (attempt->cancelled.load())
-            return;
         // Lazy so an Environment construction failure (corrupt trace,
         // injected allocation failure) is charged to the cell being
         // attempted, not to the whole group up front.
-        if (!*envSlot)
-            *envSlot = std::make_shared<Environment>(cell->spec,
-                                                     cell->env);
-        if (cell->measure) {
-            RunConfig run = cell->run;
+        if (!env)
+            env = std::make_unique<Environment>(cell.spec, cell.env);
+        if (cell.measure) {
+            RunConfig run = cell.run;
             run.seed = seed;
             const std::uint64_t epochLen =
                 timelineEpochAccesses(run.measureAccesses);
             if (epochLen != 0)
-                attempt->timeline =
-                    std::make_unique<obs::Timeline>(epochLen);
-            attempt->result.stats = (*envSlot)->run(
-                cell->machine, run, nullptr, attempt->timeline.get());
-            attempt->result.measured = true;
+                attempt.timeline = std::make_unique<obs::Timeline>(epochLen);
+            attempt.result.stats =
+                env->run(cell.machine, run, nullptr, attempt.timeline.get());
+            attempt.result.measured = true;
         }
-        if (cell->probe)
-            cell->probe(**envSlot, attempt->result);
+        if (cell.probe)
+            cell.probe(*env, attempt.result);
     });
-}
-
-/**
- * Run one attempt and return its status. With no @p timeoutSec the
- * attempt runs on the calling worker. Otherwise it runs on a thread of
- * its own that the worker waits on for at most @p timeoutSec seconds;
- * one that overruns is flagged in @p cancelled and detached, and the
- * wait returns DEADLINE_EXCEEDED. A host out of threads fails the
- * attempt as UNAVAILABLE (retried), not the sweep.
- *
- * Measured dead end: a thread for every attempt, timeout or not, raised
- * simbench fig8_sweep's peak RSS from 222 to 268 MB (20 s runs, 2
- * workers, 4-vCPU host), past the benchmark's 20% bound; a reused
- * attempt thread per worker read 267 MB and a thread per group 272 MB.
- * Each extra allocating thread takes its own glibc malloc arena, and
- * every arena that once held an Environment keeps ~32 MB of freed
- * memory (MALLOC_ARENA_MAX=1 brings all of them to 189 MB).
- */
-Status
-runAttempt(const std::function<Status()> &body, unsigned timeoutSec,
-           std::atomic<bool> &cancelled)
-{
-    if (timeoutSec == 0)
-        return body();
-    auto task = std::make_shared<std::packaged_task<Status()>>(body);
-    std::future<Status> future = task->get_future();
-    std::thread thread;
-    try {
-        if (fault::shouldFail("attempt-thread"))
-            throw std::system_error(std::make_error_code(
-                std::errc::resource_unavailable_try_again));
-        thread = std::thread([task] { (*task)(); });
-    } catch (const std::system_error &e) {
-        return Status::unavailable(
-            strprintf("cannot start a cell attempt thread: %s", e.what()));
-    }
-    if (future.wait_for(std::chrono::seconds(timeoutSec)) ==
-        std::future_status::timeout) {
-        cancelled.store(true);
-        thread.detach();
-        return Status::deadlineExceeded(strprintf(
-            "cell exceeded ASAP_CELL_TIMEOUT=%us", timeoutSec));
-    }
-    thread.join();
-    return future.get();
 }
 
 } // namespace
@@ -732,39 +683,30 @@ SweepRunner::run(const SweepSpec &spec) const
 
     // Run one group's cells in declaration order on one Environment.
     const auto runGroup = [&](const std::vector<std::size_t> &indices) {
-        // The group's Environment, double-indirected: the outer
-        // pointer is what a timed-out (zombie) attempt keeps; the
-        // runner swaps in a fresh slot after any failure so nothing
-        // ever shares a half-mutated or still-in-use Environment.
-        auto envSlot = std::make_shared<std::shared_ptr<Environment>>();
+        std::unique_ptr<Environment> env;
         for (const std::size_t index : indices) {
             if (stopSignal)
                 return;
             const Cell &cell = cells[index];
             CellResult &result = results[index];
-            const auto cellCopy = std::make_shared<const Cell>(cell);
             for (unsigned attempt = 1;; ++attempt) {
-                auto scratch = std::make_shared<Attempt>();
-                scratch->result.row = cell.row;
-                scratch->result.column = cell.column;
-                const Status status = runAttempt(
-                    [cellCopy, seed = seeds[index], envSlot, scratch] {
-                        return runCellAttempt(cellCopy, seed, envSlot,
-                                              scratch);
-                    },
-                    policy.timeoutSec, scratch->cancelled);
+                Attempt scratch;
+                scratch.result.row = cell.row;
+                scratch.result.column = cell.column;
+                const Status status =
+                    runCellAttempt(cell, seeds[index], policy.timeoutSec,
+                                   env, scratch);
                 if (status.ok()) {
-                    if (scratch->timeline)
+                    if (scratch.timeline)
                         writeCellTimeline(spec.name(), cell,
-                                          *scratch->timeline);
-                    scratch->result.attempts = attempt;
-                    result = std::move(scratch->result);
+                                          *scratch.timeline);
+                    scratch.result.attempts = attempt;
+                    result = std::move(scratch.result);
                     break;
                 }
-                // Any failed attempt abandons the group's Environment:
-                // a half-run (or still-hung) one is not a reproducible
-                // starting state.
-                envSlot = std::make_shared<std::shared_ptr<Environment>>();
+                // Any failed attempt drops the group's Environment: a
+                // half-run one is not a reproducible starting state.
+                env.reset();
                 if (attempt >= policy.maxAttempts || !status.transient()) {
                     result.attempts = attempt;
                     result.status = status;
@@ -789,7 +731,13 @@ SweepRunner::run(const SweepSpec &spec) const
                pending.size(), groupLabel(first.spec, first.env).c_str());
     };
 
-    // Workers claim groups in order until none is left.
+    // Workers claim groups in order until none is left. Every cell
+    // attempt runs on the worker that claimed its group.
+    //
+    // Measured dead end: a thread for every attempt raised simbench
+    // fig8_sweep's peak RSS from 222 to 268 MB (2 workers, 4-vCPU
+    // host). Each extra thread that builds an Environment gets its own
+    // glibc malloc arena, which keeps ~32 MB of freed memory.
     const std::size_t workers = std::min<std::size_t>(
         jobs_ != 0 ? jobs_ : jobsFromEnv(), pending.size());
     std::vector<std::thread> threads;

@@ -11,11 +11,13 @@
  * faults, workload cursors). Cells are therefore grouped by their
  * (workload spec, environment options) signature; each group owns one
  * Environment and executes its cells serially in declaration order.
- * Up to ASAP_JOBS worker threads claim groups in turn; under
- * ASAP_CELL_TIMEOUT each cell attempt runs on a thread of its own that
- * the worker waits on and can abandon. This makes aggregated results
- * bit-identical regardless of thread count (ASAP_JOBS=1 and
- * ASAP_JOBS=N agree exactly).
+ * Up to ASAP_JOBS worker threads claim groups in turn, and every cell
+ * attempt runs on the worker that claimed its group. This makes
+ * aggregated results bit-identical regardless of thread count
+ * (ASAP_JOBS=1 and ASAP_JOBS=N agree exactly). Under ASAP_CELL_TIMEOUT
+ * an attempt runs under a deadline (common/deadline.hh) that its
+ * access streams check once per batch, so an overrunning cell stops
+ * on its worker and frees its Environment.
  */
 
 #ifndef ASAP_EXP_SWEEP_HH

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <type_traits>
 
+#include "common/deadline.hh"
 #include "common/logging.hh"
 #include "obs/timeline.hh"
 #include "os/pt_allocators.hh"
@@ -212,6 +213,8 @@ AccessStream::advance(Machine &machine, Cycles &now, std::uint64_t budget)
 
     VirtAddr vas[accessBatch];
     while (budget > 0 && !done()) {
+        // A timed sweep cell stops here once its deadline has passed.
+        checkDeadline();
         const bool measuring = warmupLeft_ == 0;
         std::uint64_t &phaseLeft = measuring ? measureLeft_ : warmupLeft_;
         std::size_t batch = static_cast<std::size_t>(

@@ -258,7 +258,8 @@ class AccessStream
      * Simulate up to @p budget more accesses of the stream on
      * @p machine, advancing its clock @p now; the warmup/measure
      * boundary may fall anywhere inside. @return the measured accesses
-     * among them.
+     * among them. Throws StatusError once the calling thread's armed
+     * deadline (common/deadline.hh) has passed, checked per batch.
      */
     std::uint64_t advance(Machine &machine, Cycles &now,
                           std::uint64_t budget);

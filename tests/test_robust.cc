@@ -17,8 +17,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -29,6 +29,7 @@
 #include "exp/journal.hh"
 #include "exp/sweep.hh"
 #include "expect_status.hh"
+#include "mc/multicore.hh"
 #include "trace/convert.hh"
 #include "trace/fuzz_entry.hh"
 #include "trace/trace_file.hh"
@@ -138,6 +139,15 @@ writeAll(const std::string &path, const std::string &bytes)
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size()));
+}
+
+/** This process's threads, as /proc/self/task lists them. */
+std::size_t
+threadCount()
+{
+    using std::filesystem::directory_iterator;
+    return static_cast<std::size_t>(std::distance(
+        directory_iterator("/proc/self/task"), directory_iterator()));
 }
 
 } // namespace
@@ -455,14 +465,12 @@ TEST(RobustSweep, TransientFaultRetriesThenMatchesCleanRun)
     const exp::ResultSet clean = exp::SweepRunner(1).run(sweep);
     EXPECT_EQ(clean.cell("r", "c").attempts, 1u);
 
-    // A failing first attempt, then (under a timeout, where attempts
-    // run on threads of their own) one whose thread cannot start.
-    for (const auto &[spec, seconds] :
-         {std::pair<const char *, const char *>{"cell:1", nullptr},
-          {"attempt-thread:1", "60"}}) {
-        SCOPED_TRACE(spec);
+    // A failing first attempt, with no deadline and with one armed
+    // that no attempt of this cell reaches.
+    for (const char *seconds : {static_cast<const char *>(nullptr), "60"}) {
+        SCOPED_TRACE(seconds ? seconds : "no deadline");
         ScopedEnv bound("ASAP_CELL_TIMEOUT", seconds);
-        fault::reconfigure(spec);
+        fault::reconfigure("cell:1");
         const exp::ResultSet faulted = exp::SweepRunner(1).run(sweep);
         EXPECT_TRUE(faulted.cell("r", "c").status.ok());
         EXPECT_EQ(faulted.cell("r", "c").attempts, 2u);
@@ -521,14 +529,48 @@ TEST(RobustSweep, AbandonedAttemptWritesNoArtifact)
     ASSERT_TRUE(out.cell("r", "fine").status.ok());
     const std::string stem = dir.path() + "/robust_abandoned_timeline_r_";
     EXPECT_TRUE(std::filesystem::exists(stem + "fine.jsonl"));
+    // The timed-out attempt stopped on its worker before run() returned.
+    EXPECT_FALSE(std::filesystem::exists(stem + "hung.jsonl"));
+}
 
-    // The abandoned attempt sees its cancel within one 100 ms poll of
-    // the hang probe. Had it gone on to build and run its tiny cell, it
-    // would have written the timeline well inside this window.
-    const std::string hung = stem + "hung.jsonl";
-    for (int i = 0; i < 20 && !std::filesystem::exists(hung); ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    EXPECT_FALSE(std::filesystem::exists(hung));
+TEST(RobustSweep, TimedOutCellLeavesNoThreadRunning)
+{
+    FaultGuard guard;
+    ScopedEnv retries("ASAP_CELL_RETRIES", "0");
+    ScopedEnv timeout("ASAP_CELL_TIMEOUT", "1");
+    ScopedEnv resume("ASAP_RESUME", nullptr);
+    TempDir dir("robust_results_cancel");
+    ScopedEnv results("ASAP_RESULTS_DIR", dir.path().c_str());
+
+    // Two cells that would simulate for minutes, each in a group of its
+    // own: a measured cell of 4e9 accesses, and a probe cell that runs
+    // a MultiCoreSimulator of its own for as long.
+    RunConfig run = tinyRun();
+    run.measureAccesses = 4'000'000'000;
+    exp::SweepSpec sweep("robust_cancel");
+    sweep.add(tinySpec(), {}, MachineConfig{}, run, "r", "sim");
+    sweep.addProbe(tinySpec("robustmc"), {}, "r", "mc",
+                   [run](Environment &env, exp::CellResult &) {
+                       mc::MultiCoreSimulator sim(mc::McConfig{},
+                                                  MachineConfig{});
+                       sim.addTenant(env.system(), env.workload());
+                       sim.run(run);
+                   });
+
+    const std::size_t threadsBefore = threadCount();
+    const auto start = std::chrono::steady_clock::now();
+    const exp::ResultSet out = exp::SweepRunner(2).run(sweep);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(10));
+    // Both attempts stopped on their workers: nothing still simulates.
+    EXPECT_EQ(threadCount(), threadsBefore);
+    for (const char *column : {"sim", "mc"}) {
+        SCOPED_TRACE(column);
+        const exp::CellResult &cell = out.cell("r", column);
+        EXPECT_EQ(cell.status.code(), StatusCode::DeadlineExceeded);
+        EXPECT_NE(cell.status.message().find("ASAP_CELL_TIMEOUT"),
+                  std::string::npos);
+    }
 }
 
 // ---------------------------------------------------------------------------
