@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <system_error>
 #include <thread>
@@ -368,24 +367,16 @@ runMutatesEnvironment(const WorkloadSpec &spec)
     if (spec.tracePath.empty())
         return false;
     // A replayed trace mutates iff it carries an event-op chunk. The
-    // header probe is an mmap + fixed-size parse, once per path.
-    static std::map<std::string, bool> cache;
-    static std::mutex mutex;
-    std::lock_guard<std::mutex> lock(mutex);
-    auto it = cache.find(spec.tracePath);
-    if (it == cache.end()) {
-        bool mutates;
-        try {
-            mutates = TraceFile(spec.tracePath).hasEventOps();
-        } catch (const StatusError &) {
-            // Unreadable/corrupt trace: privatize, so the load failure
-            // surfaces as that cell's own error cell instead of taking
-            // down whatever group it would have joined.
-            mutates = true;
-        }
-        it = cache.emplace(spec.tracePath, mutates).first;
+    // header probe is an mmap and an index parse, made per cell and
+    // per run(): the file at a path may change between sweeps.
+    try {
+        return TraceFile(spec.tracePath).hasEventOps();
+    } catch (const StatusError &) {
+        // Unreadable/corrupt trace: privatize, so the load failure
+        // surfaces as that cell's own error cell instead of taking
+        // down whatever group it would have joined.
+        return true;
     }
-    return it->second;
 }
 
 std::string

@@ -622,3 +622,32 @@ TEST(DynTrace, StaticV2TraceHasNoEventOps)
     EXPECT_EQ(replay.events(), nullptr);
     std::remove(path.c_str());
 }
+
+TEST(DynTrace, SweepPrivatizesARerecordedEventTrace)
+{
+    // Whether a trace cell may share its Environment is decided from
+    // the file at run() time. Sweep a static trace at one path, then
+    // re-record a dynamic one there: were the first sweep's verdict
+    // kept, the second sweep's two identical cells would share one
+    // Environment and the second would run on a churned System.
+    const std::string path = "dyn_rerecorded.trc2";
+    const RunConfig run = tinyRun();
+    const std::uint64_t accesses = run.warmupAccesses + run.measureAccesses;
+    recordTrace(tinySpec(), path, run.seed, accesses);
+    exp::SweepSpec staticSweep("dyn_rerecord_static");
+    staticSweep.add(traceSpec(path), {}, MachineConfig{}, run, "r", "c");
+    ASSERT_TRUE(exp::SweepRunner(1).run(staticSweep).cell("r", "c")
+                    .status.ok());
+
+    recordTrace(withDynamics(tinySpec(), "tenants", 1.0, 5'000), path,
+                run.seed, accesses);
+    exp::SweepSpec sweep("dyn_rerecord");
+    sweep.add(traceSpec(path), {}, MachineConfig{}, run, "r", "first");
+    sweep.add(traceSpec(path), {}, MachineConfig{}, run, "r", "second");
+    const exp::ResultSet results = exp::SweepRunner(1).run(sweep);
+    const RunStats &a = results.stats("r", "first");
+    EXPECT_GT(a.dyn.events, 0u);
+    golden::expectSameStats(a, results.stats("r", "second"),
+                            "first vs second");
+    std::remove(path.c_str());
+}
