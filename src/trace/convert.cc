@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "exp/json.hh"
 #include "obs/histogram.hh"
 #include "sim/environment.hh"
 #include "trace/setup_capture.hh"
@@ -344,26 +345,6 @@ histLine(const char *label, const obs::Histogram &hist)
                      static_cast<unsigned long>(hist.count()));
 }
 
-/** u64 as a JSON decimal string (journal conventions — doubles lose
- *  integer precision past 2^53). */
-std::string
-u64Json(std::uint64_t value)
-{
-    return strprintf("\"%llu\"", static_cast<unsigned long long>(value));
-}
-
-std::string
-histJson(const obs::Histogram &hist)
-{
-    return strprintf("{\"p50\":%s,\"p90\":%s,\"p99\":%s,\"max\":%s,"
-                     "\"count\":%s}",
-                     u64Json(hist.p50()).c_str(),
-                     u64Json(hist.p90()).c_str(),
-                     u64Json(hist.p99()).c_str(),
-                     u64Json(hist.percentile(1.0)).c_str(),
-                     u64Json(hist.count()).c_str());
-}
-
 /** One scan of the stored stream, shared by the text and JSON
  *  formatters. */
 struct AccessStats
@@ -431,25 +412,33 @@ traceAccessStatsJson(const TraceFile &trace)
 {
     const AccessStats stats = scanAccessStats(trace);
     const TraceHeader &header = trace.header();
-    std::string out = "{";
-    out += strprintf("\"trace\":\"%s\",\"name\":\"%s\","
-                     "\"statsVersion\":1,",
-                     trace.path().c_str(), header.name.c_str());
-    out += strprintf("\"accesses\":%s,\"representedAccesses\":%s,"
-                     "\"sampleInterval\":%u,",
-                     u64Json(stats.accesses).c_str(),
-                     u64Json(header.representedAccesses).c_str(),
-                     header.sampleInterval);
-    out += strprintf("\"footprintPages\":%s,\"footprintBytes\":%s,",
-                     u64Json(stats.footprintPages).c_str(),
-                     u64Json(stats.footprintPages * pageSize).c_str());
-    out += strprintf("\"strideBytes\":%s,\"reuseAccesses\":%s,"
-                     "\"touchesPerPage\":%s}",
-                     histJson(stats.stride).c_str(),
-                     histJson(stats.reuse).c_str(),
-                     histJson(stats.touches).c_str());
-    out += "\n";
-    return out;
+    // u64 values are decimal strings (journal conventions: doubles
+    // lose integer precision past 2^53).
+    const auto u64 = [](std::uint64_t value) {
+        return exp::Json(std::to_string(value));
+    };
+    const auto hist = [&u64](const obs::Histogram &h) {
+        exp::Json json = exp::Json::object();
+        json.set("p50", u64(h.p50()));
+        json.set("p90", u64(h.p90()));
+        json.set("p99", u64(h.p99()));
+        json.set("max", u64(h.percentile(1.0)));
+        json.set("count", u64(h.count()));
+        return json;
+    };
+    exp::Json json = exp::Json::object();
+    json.set("trace", trace.path());
+    json.set("name", header.name);
+    json.set("statsVersion", 1);
+    json.set("accesses", u64(stats.accesses));
+    json.set("representedAccesses", u64(header.representedAccesses));
+    json.set("sampleInterval", static_cast<double>(header.sampleInterval));
+    json.set("footprintPages", u64(stats.footprintPages));
+    json.set("footprintBytes", u64(stats.footprintPages * pageSize));
+    json.set("strideBytes", hist(stats.stride));
+    json.set("reuseAccesses", hist(stats.reuse));
+    json.set("touchesPerPage", hist(stats.touches));
+    return json.dump() + "\n";
 }
 
 bool

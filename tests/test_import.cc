@@ -14,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/json.hh"
 #include "expect_status.hh"
 #include "sim/environment.hh"
 #include "trace/convert.hh"
+#include "trace/trace_file.hh"
 #include "workloads/trace.hh"
 
 using namespace asap;
@@ -516,4 +518,58 @@ TEST(ImportPipeline, GoldenTextReplayPinned)
     EXPECT_EQ(stats.walkCycles, 4'776u);
     EXPECT_EQ(stats.dataCycles, 1'261'177u);
     EXPECT_EQ(stats.computeCycles, 24'000u);
+}
+
+// ---------------------------------------------------------------------------
+// Access-pattern statistics (trace_convert --stats)
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+/** Four accesses over three contiguous pages: two one-page strides, a
+ *  two-page stride back, and one reuse of the first page. */
+const char *const statsCapture =
+    "0x7f0000000000\n0x7f0000001000\n0x7f0000002000\n0x7f0000000000\n";
+
+} // namespace
+
+TEST(TraceStats, JsonEscapesNameAndPathAndParsesBack)
+{
+    const TempFile in("stats_json.txt");
+    const TempFile out("stats_q\"uote\\.trc2");
+    in.write(statsCapture);
+    ImportOptions options;
+    options.name = "we\"ird\\name";
+    importTrace(textImporter(), in.path(), out.path(), options);
+
+    const std::string text = traceAccessStatsJson(TraceFile(out.path()));
+    const std::optional<exp::Json> json = exp::Json::parse(text);
+    ASSERT_TRUE(json.has_value()) << text;
+    EXPECT_EQ(json->find("trace")->asString(), out.path());
+    EXPECT_EQ(json->find("name")->asString(), options.name);
+    EXPECT_EQ(json->find("accesses")->asString(), "4");
+    EXPECT_EQ(json->find("footprintPages")->asString(), "3");
+    EXPECT_EQ(json->find("touchesPerPage")->find("p50")->asString(), "1");
+}
+
+TEST(TraceStats, TextSummarizesTheStream)
+{
+    const TempFile in("stats_text.txt");
+    const TempFile out("stats_text.trc2");
+    in.write(statsCapture);
+    importTrace(textImporter(), in.path(), out.path());
+
+    const std::string text = traceAccessStats(TraceFile(out.path()));
+    EXPECT_NE(text.find(out.path() + ": access-pattern statistics "
+                                     "(4 stored accesses)\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("  reuse interval (accs) p50 3 "),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("  footprint             3 distinct pages "
+                        "(12 KiB)\n"),
+              std::string::npos)
+        << text;
 }
