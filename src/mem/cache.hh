@@ -49,30 +49,10 @@ class Cache
     explicit Cache(const CacheConfig &config);
 
     /**
-     * Look up a physical address; on a hit the line's recency is updated.
-     * @return true on hit.
-     */
-    bool
-    access(PhysAddr paddr)
-    {
-        const std::uint64_t tag = tagOf(paddr);
-        const std::uint64_t set = ways_.setOf(tag);
-        const auto way = ways_.find(set, SetAssoc<>::keyFor(tag));
-        if (way) {
-            ways_.touch(set, way);
-            ++hits_;
-            return true;
-        }
-        ++misses_;
-        return false;
-    }
-
-    /**
-     * access() + insert() in one set scan: on a miss the line is
-     * installed in exactly the way insert() would have chosen (first
-     * invalid way, else the LRU way). The fill-on-miss cascade of the hierarchy
-     * always inserts after a miss, so fusing the two scans halves the
-     * work of every miss without changing any replacement decision.
+     * Look up a physical address and make its line the most recently
+     * used, installing it on a miss (into the first invalid way, else
+     * the LRU way): the fill-on-miss step of the hierarchy's cascade,
+     * in one set scan.
      * @return true on hit.
      */
     bool
@@ -99,18 +79,6 @@ class Cache
         const std::uint64_t tag = tagOf(paddr);
         return static_cast<bool>(
             ways_.find(ways_.setOf(tag), SetAssoc<>::keyFor(tag)));
-    }
-
-    /** Insert the line containing @p paddr, evicting LRU if needed. */
-    void
-    insert(PhysAddr paddr)
-    {
-        const std::uint64_t tag = tagOf(paddr);
-        const std::uint64_t set = ways_.setOf(tag);
-        const auto slot = ways_.findOrVictim(set, SetAssoc<>::keyFor(tag));
-        if (!slot.matched)
-            *slot.way.key = SetAssoc<>::keyFor(tag);
-        ways_.touch(set, slot.way);
     }
 
     const CacheConfig &config() const { return config_; }

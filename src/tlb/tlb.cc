@@ -15,16 +15,6 @@ Tlb::Tlb(const TlbConfig &config) : config_(config)
 }
 
 void
-Tlb::flush()
-{
-    entries_.flush();
-    for (auto &count : residentPerLevel_)
-        count = 0;
-    hits_ = 0;
-    misses_ = 0;
-}
-
-void
 Tlb::flushEntries()
 {
     entries_.flush();
@@ -131,14 +121,6 @@ ClusteredTlb::fill(VirtAddr va, const Translation &translation,
     entries_.touch(set, slot.way);
 }
 
-void
-ClusteredTlb::flush()
-{
-    entries_.flush();
-    hits_ = 0;
-    misses_ = 0;
-}
-
 std::uint64_t
 ClusteredTlb::invalidateRange(VirtAddr start, VirtAddr end)
 {
@@ -175,17 +157,6 @@ TlbHierarchy::fill(VirtAddr va, const Translation &translation,
     } else {
         l2_->fill(va, translation);
     }
-}
-
-void
-TlbHierarchy::flush()
-{
-    l1_.flush();
-    if (clustered_)
-        clustered_->flush();
-    else
-        l2_->flush();
-    lookups_ = 0;
 }
 
 void

@@ -115,15 +115,11 @@ class Tlb
         entries_.touch(set, slot.way);
     }
 
-    /** Drop everything (context switch / scenario reset). */
-    void flush();
-
     /**
      * Drop all cached entries but keep the hit/miss counters — the
      * CR3-reload (no-PCID context switch) flush of the multi-core
      * model, where counters are lifetime statistics of the structure
-     * and must survive tenant switches. flush() resets counters and
-     * stays the scenario-reset primitive.
+     * and must survive tenant switches.
      */
     void flushEntries();
 
@@ -263,8 +259,6 @@ class ClusteredTlb
     void fill(VirtAddr va, const Translation &translation,
               const PageTable &pt);
 
-    void flush();
-
     /** Drop all entries, keep counters (multi-core context switch). */
     void flushEntries() { entries_.flush(); }
 
@@ -356,8 +350,6 @@ class TlbHierarchy
      */
     void fill(VirtAddr va, const Translation &translation,
               const PageTable *pt = nullptr);
-
-    void flush();
 
     /** Drop all entries across both levels but keep every counter —
      *  the no-PCID context-switch flush (multi-core model). */

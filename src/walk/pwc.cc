@@ -86,15 +86,6 @@ PageWalkCaches::invalidateRange(VirtAddr start, VirtAddr end)
 }
 
 void
-PageWalkCaches::flush()
-{
-    for (auto &cache : caches_)
-        cache.flush();
-    hits_ = 0;
-    lookups_ = 0;
-}
-
-void
 PageWalkCaches::flushEntries()
 {
     for (auto &cache : caches_)

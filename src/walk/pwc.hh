@@ -92,9 +92,6 @@ class PageWalkCaches
     void insert(unsigned level, VirtAddr va, Pfn childPfn,
                 PtNodeIndex childIndex = invalidPtNodeIndex);
 
-    /** Invalidate everything (context switch / scenario reset). */
-    void flush();
-
     /** Drop all cached entries but keep the hit/lookup counters —
      *  the CR3-reload flush of the multi-core model, where the PWC is
      *  per-core hardware and its counters are lifetime statistics. */

@@ -372,8 +372,7 @@ TEST_P(InvalidateDifferential, FullRangeInvalidateEqualsFlush)
     // Whole-address-space range invalidation must behave exactly like
     // the full flush of TLBs + app PWCs.
     rangeInv.invalidateRange(0, ~VirtAddr{0});
-    flushed.tlb().flush();
-    flushed.appPwc().flush();
+    flushed.flush();
 
     // Phase 2: every subsequent translation agrees in hit level, walk
     // latency and result — the machines are indistinguishable.

@@ -30,9 +30,8 @@ smallCache(std::uint64_t size = 1024, unsigned ways = 2, Cycles lat = 4)
 TEST(Cache, MissThenHit)
 {
     Cache cache(smallCache());
-    EXPECT_FALSE(cache.access(0x1000));
-    cache.insert(0x1000);
-    EXPECT_TRUE(cache.access(0x1000));
+    EXPECT_FALSE(cache.accessAndFill(0x1000));
+    EXPECT_TRUE(cache.accessAndFill(0x1000));
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(cache.misses(), 1u);
 }
@@ -40,9 +39,9 @@ TEST(Cache, MissThenHit)
 TEST(Cache, SameLineDifferentOffsetHits)
 {
     Cache cache(smallCache());
-    cache.insert(0x1000);
-    EXPECT_TRUE(cache.access(0x103f));   // same 64B line
-    EXPECT_FALSE(cache.access(0x1040));  // next line
+    cache.accessAndFill(0x1000);
+    EXPECT_TRUE(cache.accessAndFill(0x103f));   // same 64B line
+    EXPECT_FALSE(cache.accessAndFill(0x1040));  // next line
 }
 
 TEST(Cache, LruEvictionOrder)
@@ -51,10 +50,10 @@ TEST(Cache, LruEvictionOrder)
     // lines) map to set 0.
     Cache cache(smallCache(1024, 2));
     const PhysAddr a = 0 << 6, b = 8 << 6, c = 16 << 6;
-    cache.insert(a);
-    cache.insert(b);
-    cache.access(a);        // a is now MRU
-    cache.insert(c);        // evicts b (LRU)
+    cache.accessAndFill(a);
+    cache.accessAndFill(b);
+    cache.accessAndFill(a);  // hit: a is now MRU
+    cache.accessAndFill(c);  // evicts b (LRU)
     EXPECT_TRUE(cache.probe(a));
     EXPECT_FALSE(cache.probe(b));
     EXPECT_TRUE(cache.probe(c));
@@ -64,24 +63,12 @@ TEST(Cache, ProbeDoesNotPerturbLru)
 {
     Cache cache(smallCache(1024, 2));
     const PhysAddr a = 0 << 6, b = 8 << 6, c = 16 << 6;
-    cache.insert(a);
-    cache.insert(b);
+    cache.accessAndFill(a);
+    cache.accessAndFill(b);
     cache.probe(a);          // must NOT refresh a
-    cache.insert(c);         // evicts a (still LRU)
+    cache.accessAndFill(c);  // evicts a (still LRU)
     EXPECT_FALSE(cache.probe(a));
     EXPECT_TRUE(cache.probe(b));
-}
-
-TEST(Cache, InsertExistingRefreshes)
-{
-    Cache cache(smallCache(1024, 2));
-    const PhysAddr a = 0 << 6, b = 8 << 6, c = 16 << 6;
-    cache.insert(a);
-    cache.insert(b);
-    cache.insert(a);        // refresh, no duplicate
-    cache.insert(c);        // evicts b
-    EXPECT_TRUE(cache.probe(a));
-    EXPECT_FALSE(cache.probe(b));
 }
 
 TEST(Cache, NonPow2LinesOkWithPow2Sets)
@@ -91,7 +78,7 @@ TEST(Cache, NonPow2LinesOkWithPow2Sets)
     config.sizeBytes = 20_MiB;
     config.ways = 20;
     Cache cache(config);
-    cache.insert(0x123456780);
+    cache.accessAndFill(0x123456780);
     EXPECT_TRUE(cache.probe(0x123456780));
 }
 
@@ -105,13 +92,13 @@ TEST_P(CacheGeometry, FillsToCapacityWithoutSelfEviction)
     const auto [size, ways] = GetParam();
     Cache cache(smallCache(size, ways));
     const std::uint64_t lines = size / lineSize;
-    // Insert exactly `lines` distinct lines, one per (set, way) slot.
+    // Fill exactly `lines` distinct lines, one per (set, way) slot.
     for (std::uint64_t i = 0; i < lines; ++i)
-        cache.insert(i << lineShift);
+        cache.accessAndFill(i << lineShift);
     for (std::uint64_t i = 0; i < lines; ++i)
         EXPECT_TRUE(cache.probe(i << lineShift)) << i;
-    // One more insert into set 0 must evict something in set 0.
-    cache.insert(lines << lineShift);
+    // One more fill into set 0 must evict something in set 0.
+    cache.accessAndFill(lines << lineShift);
     EXPECT_FALSE(cache.probe(0));
 }
 

@@ -150,24 +150,15 @@ checkCacheAgainstModel(std::uint64_t sets, unsigned ways,
         const PhysAddr paddr = (line << lineShift) | rng.below(lineSize);
         const std::uint64_t set = line & (sets - 1);
         const auto same = [line](std::uint64_t l) { return l == line; };
-        const std::uint64_t kind = rng.below(8);
-        if (kind < 5) {
+        if (rng.below(6) < 5) {
             const bool hit = model.touch(set, same) != nullptr;
             if (!hit)
                 model.fill(set, line);
             ++(hit ? hits : misses);
             ASSERT_EQ(cache.accessAndFill(paddr), hit) << "op " << op;
-        } else if (kind == 5) {
+        } else {
             const bool present = model.find(set, same) != nullptr;
             ASSERT_EQ(cache.probe(paddr), present) << "op " << op;
-        } else if (kind == 6) {
-            const bool hit = model.touch(set, same) != nullptr;
-            ++(hit ? hits : misses);
-            ASSERT_EQ(cache.access(paddr), hit) << "op " << op;
-        } else {
-            if (!model.touch(set, same))
-                model.fill(set, line);
-            cache.insert(paddr);
         }
         ASSERT_EQ(cache.hits(), hits) << "op " << op;
         ASSERT_EQ(cache.misses(), misses) << "op " << op;

