@@ -40,6 +40,7 @@
 #ifndef ASAP_COMMON_STATUS_HH
 #define ASAP_COMMON_STATUS_HH
 
+#include <chrono>
 #include <exception>
 #include <new>
 #include <string>
@@ -151,6 +152,44 @@ class StatusError : public std::exception
 throwStatus(Status status)
 {
     throw StatusError(std::move(status));
+}
+
+/**
+ * A cooperative deadline for the calling thread, armed while the object
+ * lives: once @p limit has passed, checkDeadline() throws @p expired. A
+ * zero @p limit arms nothing. The sweep runner arms one per cell attempt
+ * under ASAP_CELL_TIMEOUT; AccessStream::advance checks it per batch.
+ */
+class ScopedDeadline
+{
+  public:
+    ScopedDeadline(std::chrono::steady_clock::duration limit, Status expired)
+        : at_(std::chrono::steady_clock::now() + limit),
+          expired_(std::move(expired))
+    {
+        if (limit > limit.zero())
+            armed = this;
+    }
+    ~ScopedDeadline() { armed = nullptr; }
+    ScopedDeadline(const ScopedDeadline &) = delete;
+    ScopedDeadline &operator=(const ScopedDeadline &) = delete;
+
+  private:
+    friend void checkDeadline();
+    static inline thread_local const ScopedDeadline *armed = nullptr;
+
+    std::chrono::steady_clock::time_point at_;
+    Status expired_;
+};
+
+/** Throw once the calling thread's deadline has passed. Unarmed, this is
+ *  one thread-local load and compare. */
+inline void
+checkDeadline()
+{
+    const ScopedDeadline *deadline = ScopedDeadline::armed;
+    if (deadline && std::chrono::steady_clock::now() >= deadline->at_)
+        throw StatusError(deadline->expired_);
 }
 
 /**

@@ -11,7 +11,6 @@
 #include <system_error>
 #include <thread>
 
-#include "common/deadline.hh"
 #include "common/fault_inject.hh"
 #include "common/logging.hh"
 #include "exp/journal.hh"
@@ -554,11 +553,11 @@ Status
 runCellAttempt(const Cell &cell, std::uint64_t seed, unsigned timeoutSec,
                std::unique_ptr<Environment> &env, Attempt &attempt)
 {
-    const ScopedDeadline deadline(
-        std::chrono::seconds(timeoutSec),
-        Status::deadlineExceeded(
-            strprintf("cell exceeded ASAP_CELL_TIMEOUT=%us", timeoutSec)));
     return runToStatus([&] {
+        const ScopedDeadline deadline(
+            std::chrono::seconds(timeoutSec),
+            Status::deadlineExceeded(strprintf(
+                "cell exceeded ASAP_CELL_TIMEOUT=%us", timeoutSec)));
         fault::maybeFail("cell");
         if (fault::shouldFail("cell-hang")) {
             // Deterministic "stuck cell": bounded so an untimed run

@@ -15,7 +15,7 @@
  * attempt runs on the worker that claimed its group. This makes
  * aggregated results bit-identical regardless of thread count
  * (ASAP_JOBS=1 and ASAP_JOBS=N agree exactly). Under ASAP_CELL_TIMEOUT
- * an attempt runs under a deadline (common/deadline.hh) that its
+ * an attempt runs under a ScopedDeadline (common/status.hh) that its
  * access streams check once per batch, so an overrunning cell stops
  * on its worker and frees its Environment.
  */

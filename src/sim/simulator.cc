@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <type_traits>
 
-#include "common/deadline.hh"
 #include "common/logging.hh"
+#include "common/status.hh"
 #include "obs/timeline.hh"
 #include "os/pt_allocators.hh"
 

@@ -259,7 +259,7 @@ class AccessStream
      * @p machine, advancing its clock @p now; the warmup/measure
      * boundary may fall anywhere inside. @return the measured accesses
      * among them. Throws StatusError once the calling thread's armed
-     * deadline (common/deadline.hh) has passed, checked per batch.
+     * ScopedDeadline has passed, checked per batch.
      */
     std::uint64_t advance(Machine &machine, Cycles &now,
                           std::uint64_t budget);
